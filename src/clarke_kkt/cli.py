@@ -1,23 +1,30 @@
 """Command-line front end.
 
-Commands:
+Commands and the options each one reads (all take --json):
     analyze <file> --at v1,...,vn   stationarity verdict for one candidate point
+                                    --seed --eps-stat --active-tol --sd-radius --sd-count
     suite [--export DIR]            run the built-in ground-truth suite
+                                    --seed --eps-stat --active-tol --sd-radius --sd-count
     check-properties <file> --at .. estimator property checks at a point
+                                    --seed --levels --samples --eps-sub
+
+Without --seed the seed comes from $CLARKE_KKT_SEED, else 42.  A command
+rejects an option it does not read, and float options must be finite.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
 5 constraint qualification failed, 2 input or processing error.
-JSON output is schema-stable and byte-reproducible for a fixed seed,
-except for the timings field.
+JSON output is strict RFC 8259 JSON, schema-stable and byte-reproducible
+for a fixed seed, except for the timings field; its `config` echoes the
+command's own options.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,74 +53,59 @@ _VERDICT_EXIT = {
 
 HOMOGENEITY_LAMBDAS = (0.5, 1.0, 2.0, 10.0)
 SUBADDITIVITY_PAIRS = 20
+SEED_ENV = "CLARKE_KKT_SEED"
 
 
-@dataclass
-class RunConfig:
-    seed: int = 42
-    levels: int = 6
-    samples: int = 200
-    eps_stat: float = DEFAULT_EPS_STAT
-    active_tol: float = DEFAULT_ACTIVE_TOL
-    eps_mem: float = 0.05
-    eps_sub: float = None
-    sd_radius: float = None
-    sd_count: int = None
-    output: str = "human"
-
-    def gendir_config(self) -> GenDirConfig:
-        return GenDirConfig(levels=self.levels, samples_per_level=self.samples, seed=self.seed)
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "levels": self.levels,
-            "samples": self.samples,
-            "eps_stat": self.eps_stat,
-            "active_tol": self.active_tol,
-            "eps_mem": self.eps_mem,
-            "eps_sub": self.eps_sub,
-            "sd_radius": self.sd_radius,
-            "sd_count": self.sd_count,
-        }
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
-def _default_seed():
-    env = os.environ.get("CLARKE_KKT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+# Every option a command can declare; each default is the library's own.
+OPTIONS = {
+    "seed": dict(type=int, default=None,
+                 help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
+    "levels": dict(type=int, default=GenDirConfig.levels),
+    "samples": dict(type=int, default=GenDirConfig.samples_per_level),
+    "eps_stat": dict(type=_finite_float, default=DEFAULT_EPS_STAT),
+    "active_tol": dict(type=_finite_float, default=DEFAULT_ACTIVE_TOL),
+    "eps_sub": dict(type=_finite_float, default=None),
+    "sd_radius": dict(type=_finite_float, default=None),
+    "sd_count": dict(type=int, default=None),
+}
+# The options each command reads, in the order its JSON `config` lists them.
+VERDICT_OPTIONS = ("seed", "eps_stat", "active_tol", "sd_radius", "sd_count")
+COMMAND_OPTIONS = {
+    "analyze": VERDICT_OPTIONS,
+    "suite": VERDICT_OPTIONS,
+    "check-properties": ("seed", "levels", "samples", "eps_sub"),
+}
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=_default_seed())
+def _add_options(parser, command):
     parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--eps-stat", type=float, default=DEFAULT_EPS_STAT)
-    parser.add_argument("--active-tol", type=float, default=DEFAULT_ACTIVE_TOL)
-    parser.add_argument("--eps-mem", type=float, default=0.05)
-    parser.add_argument("--eps-sub", type=float, default=None)
-    parser.add_argument("--levels", type=int, default=6)
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--sd-radius", type=float, default=None)
-    parser.add_argument("--sd-count", type=int, default=None)
+    for name in COMMAND_OPTIONS[command]:
+        parser.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        levels=args.levels,
-        samples=args.samples,
-        eps_stat=args.eps_stat,
-        active_tol=args.active_tol,
-        eps_mem=args.eps_mem,
-        eps_sub=args.eps_sub,
-        sd_radius=args.sd_radius,
-        sd_count=args.sd_count,
-        output="json" if args.as_json else "human",
-    )
+def _config(args):
+    """The command's own option values, keyed by option name."""
+    return {name: getattr(args, name) for name in COMMAND_OPTIONS[args.command]}
+
+
+def _env_seed():
+    env = os.environ.get(SEED_ENV)
+    if env is None:
+        return GenDirConfig.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ClarkeKKTError(f"{SEED_ENV}={env!r} is not an integer") from None
 
 
 def _parse_point(text, n):
@@ -134,11 +126,15 @@ def _load_problem(path):
 
 
 def _emit_json(obj, out):
-    out.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    try:
+        text = json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:  # a nan or infinity, which RFC 8259 JSON cannot hold
+        raise ClarkeKKTError(f"cannot write the report as JSON: {exc}") from None
+    out.write(text + "\n")
 
 
 def cmd_analyze(args, out) -> int:
-    cfg = _run_config(args)
+    cfg = _config(args)
     try:
         prob = _load_problem(args.file)
         point = _parse_point(args.at, prob.n)
@@ -146,27 +142,21 @@ def cmd_analyze(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     start = time.perf_counter()
-    report = verify_stationarity(
-        prob, point, eps_stat=cfg.eps_stat, active_tol=cfg.active_tol,
-        seed=cfg.seed, sd_radius=cfg.sd_radius, sd_count=cfg.sd_count,
-    )
+    report = verify_stationarity(prob, point, **cfg)
     elapsed = time.perf_counter() - start
-    if cfg.output == "json":
+    if args.as_json:
         payload = {
             "version": __version__,
             "problem": prob.name,
-            "point": list(point),
-            "config": cfg.to_dict(),
-            "feasibility": report.to_dict()["feasibility"],
-            "cq": report.to_dict()["cq"],
-            "certificate": report.to_dict()["certificate"],
-            "verdict": report.verdict,
+            "point": point.tolist(),
+            "config": cfg,
+            **report.to_dict(),
             "timings": {"analyze_s": elapsed},
         }
         _emit_json(payload, out)
     else:
         out.write(f"problem   : {prob.name}\n")
-        out.write(f"point     : {list(point)}\n")
+        out.write(f"point     : {point.tolist()}\n")
         out.write(f"feasible  : eq_norm={report.feasibility[0]:.3e} "
                   f"max_ineq={report.feasibility[1]:.3e}\n")
         if report.cq is not None:
@@ -185,7 +175,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_suite(args, out) -> int:
-    cfg = _run_config(args)
+    cfg = _config(args)
     if args.export is not None:
         export_dir = Path(args.export)
         export_dir.mkdir(parents=True, exist_ok=True)
@@ -198,10 +188,7 @@ def cmd_suite(args, out) -> int:
     all_ok = True
     for entry in registry():
         start = time.perf_counter()
-        result = evaluate_entry(
-            entry, seed=cfg.seed, eps_stat=cfg.eps_stat,
-            active_tol=cfg.active_tol, sd_radius=cfg.sd_radius, sd_count=cfg.sd_count,
-        )
+        result = evaluate_entry(entry, **cfg)
         timings[entry.name] = time.perf_counter() - start
         all_ok = all_ok and result["ok"]
         report = result["report"]
@@ -217,10 +204,10 @@ def cmd_suite(args, out) -> int:
             "probes": result["probes"],
             "ok": result["ok"],
         })
-    if cfg.output == "json":
+    if args.as_json:
         payload = {
             "version": __version__,
-            "config": cfg.to_dict(),
+            "config": cfg,
             "entries": entries,
             "ok": all_ok,
             "timings": timings,
@@ -240,33 +227,34 @@ def cmd_suite(args, out) -> int:
 
 
 def cmd_check_properties(args, out) -> int:
-    cfg = _run_config(args)
+    cfg = _config(args)
     try:
         prob = _load_problem(args.file)
         point = _parse_point(args.at, prob.n)
+        gendir_cfg = GenDirConfig(levels=args.levels, samples_per_level=args.samples,
+                                  seed=args.seed)
     except (ProblemParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    gendir_cfg = cfg.gendir_config()
     start = time.perf_counter()
     reports = []
     for i in range(prob.n):
         phi = np.zeros(prob.n)
         phi[i] = 1.0
         reports.append(check_homogeneity(prob, point, phi, HOMOGENEITY_LAMBDAS, gendir_cfg))
-    rng = sampling.substream(cfg.seed, sampling.NS_PROPERTIES, 0)
+    rng = sampling.substream(args.seed, sampling.NS_PROPERTIES, 0)
     for _ in range(SUBADDITIVITY_PAIRS):
         phi1 = rng.standard_normal(prob.n)
         phi2 = rng.standard_normal(prob.n)
-        reports.append(check_subadditivity(prob, point, phi1, phi2, gendir_cfg, eps_sub=cfg.eps_sub))
+        reports.append(check_subadditivity(prob, point, phi1, phi2, gendir_cfg, eps_sub=args.eps_sub))
     elapsed = time.perf_counter() - start
     all_ok = all(r.passed for r in reports)
-    if cfg.output == "json":
+    if args.as_json:
         payload = {
             "version": __version__,
             "problem": prob.name,
-            "point": list(point),
-            "config": cfg.to_dict(),
+            "point": point.tolist(),
+            "config": cfg,
             "reports": [r.to_dict() for r in reports],
             "ok": all_ok,
             "timings": {"check_properties_s": elapsed},
@@ -288,19 +276,19 @@ def build_parser():
     analyze = sub.add_parser("analyze", help="verdict for a candidate point of a problem file")
     analyze.add_argument("file")
     analyze.add_argument("--at", required=True, help="comma-separated point coordinates")
-    _add_common(analyze)
+    _add_options(analyze, "analyze")
     analyze.set_defaults(func=cmd_analyze)
 
     suite = sub.add_parser("suite", help="run the built-in ground-truth suite")
     suite.add_argument("--export", default=None, metavar="DIR",
                        help="write the suite problem files and exit")
-    _add_common(suite)
+    _add_options(suite, "suite")
     suite.set_defaults(func=cmd_suite)
 
     props = sub.add_parser("check-properties", help="estimator property checks at a point")
     props.add_argument("file")
     props.add_argument("--at", required=True)
-    _add_common(props)
+    _add_options(props, "check-properties")
     props.set_defaults(func=cmd_check_properties)
     return parser
 
@@ -308,6 +296,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args, sys.stdout)
     except ClarkeKKTError as exc:
         print(f"error: {exc}", file=sys.stderr)

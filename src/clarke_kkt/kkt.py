@@ -29,9 +29,8 @@ from .solver import slater_direction, solve_structured_ls
 from .subdiff import SubdifferentialApprox, sample_subdifferential
 
 DEFAULT_ACTIVE_TOL = 1e-6
-DEFAULT_FEAS_TOL = 1e-6
 DEFAULT_EPS_STAT = 1e-2
-SLATER_BOX_BOUND = 1e3
+FEAS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,7 @@ class ConstraintQualificationReport:
     slater_direction: Optional[np.ndarray]
     slater_ok: bool
     active_set: tuple
+    jacobians: tuple  # (J1, J2) at the point, reused by multiplier recovery; not serialized
 
     def to_dict(self):
         return {
@@ -84,10 +84,12 @@ class StationarityReport:
     message: Optional[str] = None
 
     def to_dict(self):
+        max_viol = self.feasibility[1]
         return {
             "feasibility": {
                 "eq_norm": self.feasibility[0],
-                "max_ineq_violation": self.feasibility[1],
+                # -inf without inequalities; JSON has no infinities
+                "max_ineq_violation": None if max_viol == -np.inf else max_viol,
             },
             "cq": None if self.cq is None else self.cq.to_dict(),
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
@@ -135,7 +137,7 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
                                    active_tol=DEFAULT_ACTIVE_TOL) -> ConstraintQualificationReport:
     """Rank of J1, active inequality set, and a strictly feasible (Slater) direction.
 
-    The Slater direction solves the LP: find phi with |phi|_inf <= 1e3,
+    The Slater direction solves the LP: find phi with |phi|_inf <= SLATER_BOX_BOUND,
     J1 phi = 0 and (J2 phi)_i <= -1 on the active set, by projected-gradient
     feasibility minimization.  Empty active set makes the check vacuous.
     """
@@ -151,19 +153,19 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     _, ineq_values = eval_constraints(prob, u0)
     active = tuple(i for i in range(prob.p) if ineq_values[i] >= -active_tol)
     if prob.p == 0 or not active:
-        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active)
-    phi, converged = slater_direction(J1, J2[list(active)], bound=SLATER_BOX_BOUND)
+        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, (J1, J2))
+    phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
         raise CQIndeterminateError("Slater LP solve did not converge")
     eq_ok = prob.m == 0 or float(np.max(np.abs(J1 @ phi))) <= 1e-8
     ineq_ok = bool(np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
     slater_ok = eq_ok and ineq_ok
-    return ConstraintQualificationReport(rank, j1_onto, phi if slater_ok else None, slater_ok, active)
+    return ConstraintQualificationReport(rank, j1_onto, phi if slater_ok else None, slater_ok,
+                                         active, (J1, J2))
 
 
 def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
-                        J1, J2, active_set, active_tol=DEFAULT_ACTIVE_TOL,
-                        iter_cap=50000, tol=1e-10) -> MultiplierCertificate:
+                        J1, J2, active_set) -> MultiplierCertificate:
     """Best multiplier certificate over the sampled subdifferential hull.
 
     Minimizes ||G lam + J1^T z1 + J2^T z2|| with lam on the simplex, z1
@@ -176,7 +178,7 @@ def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
         raise ValueError("empty subdifferential sample")
     active_set = tuple(active_set)
     J2a = np.asarray(J2, dtype=float).reshape(prob.p, prob.n)[list(active_set)]
-    result = solve_structured_ls(G, J1, J2a, iter_cap=iter_cap, tol=tol)
+    result = solve_structured_ls(G, J1, J2a)
     z2 = np.zeros(prob.p)
     z2[list(active_set)] = result.z2_active
     u_star = G @ result.lam
@@ -189,8 +191,8 @@ def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
 
 
 def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
-                        active_tol=DEFAULT_ACTIVE_TOL, feas_tol=DEFAULT_FEAS_TOL,
-                        seed=42, sd_radius=None, sd_count=None) -> StationarityReport:
+                        active_tol=DEFAULT_ACTIVE_TOL, seed=42, sd_radius=None,
+                        sd_count=None) -> StationarityReport:
     """Full pipeline: feasibility, constraint qualification, subdifferential
     sampling, multiplier recovery, verdict.
 
@@ -202,7 +204,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
     max_viol = float(np.max(ineq_values, initial=-np.inf)) if prob.p else -np.inf
     feasibility = (eq_norm, max_viol)
-    if eq_norm > feas_tol or (prob.p and max_viol > feas_tol):
+    if eq_norm > FEAS_TOL or (prob.p and max_viol > FEAS_TOL):
         return StationarityReport(feasibility, None, None, "infeasible")
     try:
         cq = check_constraint_qualification(prob, u0, active_tol=active_tol)
@@ -213,9 +215,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
         return StationarityReport(feasibility, cq, None, "cq_failed")
     try:
         sd = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
-        J1, J2 = jacobians(prob, u0)
-        certificate = recover_multipliers(prob, u0, sd, J1, J2, cq.active_set,
-                                          active_tol=active_tol)
+        certificate = recover_multipliers(prob, u0, sd, *cq.jacobians, cq.active_set)
     except ClarkeKKTError as exc:
         return StationarityReport(feasibility, cq, None, "error",
                                   failed_stage="multiplier_recovery", message=str(exc))

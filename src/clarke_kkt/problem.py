@@ -18,7 +18,7 @@ from . import sampling
 from .errors import ProblemParseError
 from .expressions import Expression, evaluate, max_var_index, parse_expression, to_text
 
-DEFAULT_KINK_TOL = 1e-3
+KINK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -202,15 +202,15 @@ def kink_mismatch(prob: ProblemDefinition, u, h) -> float:
     return float(np.max(np.abs(fwd - bwd)))
 
 
-def kink_avoiding_gradient(prob: ProblemDefinition, u, h, kink_tol=DEFAULT_KINK_TOL):
+def kink_avoiding_gradient(prob: ProblemDefinition, u, h):
     """Gradient sample with one-shot kink avoidance.
 
-    A point whose forward/backward quotients disagree by more than kink_tol
+    A point whose forward/backward quotients disagree by more than KINK_TOL
     is shifted by +h along the first coordinate and re-evaluated once.
     Returns (gradient, point_used).
     """
     u = as_point(u, prob.n)
-    if kink_mismatch(prob, u, h) > kink_tol:
+    if kink_mismatch(prob, u, h) > KINK_TOL:
         u = u.copy()
         u[0] += h
     return finite_diff_gradient(prob, u, h), u

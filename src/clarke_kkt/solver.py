@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SLATER_BOX_BOUND = 1e3
+
 
 @dataclass(frozen=True)
 class StructuredLSResult:
@@ -107,7 +109,7 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
     return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations)
 
 
-def slater_direction(J1, J2_active, bound=1e3, iter_cap=50000, tol=1e-12):
+def slater_direction(J1, J2_active, bound=SLATER_BOX_BOUND, iter_cap=50000, tol=1e-12):
     """Search for phi with J1 phi = 0 and (J2_active phi)_i <= -1, |phi|_inf <= bound.
 
     Minimizes ||J1 phi||^2 + sum_i max(0, (J2_active phi)_i + 1)^2 over the

@@ -14,6 +14,9 @@ import numpy as np
 from .kkt import verify_stationarity
 from .problem import ProblemDefinition, parse_problem
 
+MULTIPLIER_TOL = 0.05  # largest accepted error of a recovered multiplier
+PROBE_SLACK = 0.8  # a probe's residual must reach this share of its lower bound
+
 
 @dataclass(frozen=True)
 class SuiteEntry:
@@ -106,35 +109,32 @@ def registry():
     ]
 
 
-def evaluate_entry(entry: SuiteEntry, seed=42, eps_stat=None, multiplier_tol=0.05,
-                   probe_slack=0.8, **verify_kwargs):
+def evaluate_entry(entry: SuiteEntry, **verify_kwargs):
     """Run the full pipeline on one entry and compare against its ground truth.
 
-    Returns a dict with the minimizer report, multiplier discrepancies, probe
-    residuals, and an overall ok flag.
+    verify_kwargs go to every `verify_stationarity` call.  Returns a dict with
+    the minimizer report, multiplier discrepancies, probe residuals, and an
+    overall ok flag.
     """
-    kwargs = dict(verify_kwargs)
-    if eps_stat is not None:
-        kwargs["eps_stat"] = eps_stat
-    report = verify_stationarity(entry.problem, np.asarray(entry.minimizer), seed=seed, **kwargs)
+    report = verify_stationarity(entry.problem, np.asarray(entry.minimizer), **verify_kwargs)
     ok = report.verdict == "stationary"
     z1_err = None
     z2_err = None
     if report.certificate is not None:
         if entry.expected_z1 is not None:
             z1_err = float(np.max(np.abs(report.certificate.z1 - np.asarray(entry.expected_z1))))
-            ok = ok and z1_err <= multiplier_tol
+            ok = ok and z1_err <= MULTIPLIER_TOL
         if entry.expected_z2 is not None:
             z2_err = float(np.max(np.abs(report.certificate.z2 - np.asarray(entry.expected_z2))))
-            ok = ok and z2_err <= multiplier_tol
+            ok = ok and z2_err <= MULTIPLIER_TOL
     probes = []
     for point, lower_bound in entry.nonstationary_probes:
-        probe_report = verify_stationarity(entry.problem, np.asarray(point), seed=seed, **kwargs)
+        probe_report = verify_stationarity(entry.problem, np.asarray(point), **verify_kwargs)
         residual = None if probe_report.certificate is None else probe_report.certificate.residual
         probe_ok = (
             probe_report.verdict == "not_stationary"
             and residual is not None
-            and residual >= lower_bound * probe_slack
+            and residual >= lower_bound * PROBE_SLACK
         )
         ok = ok and probe_ok
         probes.append({

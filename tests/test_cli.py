@@ -1,6 +1,7 @@
 """CLI commands, exit codes, and report schema."""
 import json
 
+import numpy as np
 import pytest
 
 from clarke_kkt import cli
@@ -28,7 +29,8 @@ def test_analyze_stationary_exit_zero(p3_file, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "stationary"
     assert list(payload) == ["version", "problem", "point", "config", "feasibility",
-                             "cq", "certificate", "verdict", "timings"]
+                             "cq", "certificate", "verdict", "failed_stage", "message",
+                             "timings"]
 
 
 def test_analyze_not_stationary_exit_three(p3_file, capsys):
@@ -120,3 +122,84 @@ def test_check_properties_smooth_p4(tmp_path, capsys):
     path.write_text("dim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2\n", encoding="utf-8")
     code, _ = run_cli(capsys, "check-properties", str(path), "--at", "0.5,-0.5")
     assert code == 0
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+VERDICT_CONFIG = ["seed", "eps_stat", "active_tol", "sd_radius", "sd_count"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("analyze", "{p1}", "--at", "0"), VERDICT_CONFIG),
+    (("suite",), VERDICT_CONFIG),
+    (("check-properties", "{p1}", "--at", "0"), ["seed", "levels", "samples", "eps_sub"]),
+])
+def test_json_is_strict_and_config_echoes_own_options(argv, config, tmp_path, capsys):
+    # without inequalities max_ineq_violation is -inf, which must come out as null
+    path = tmp_path / "p1.prob"
+    path.write_text("dim 1\nobjective abs(x1)\n", encoding="utf-8")
+    code, out = run_cli(capsys, *(a.format(p1=path) for a in argv), "--json")
+    assert code == 0
+    payload = _strict_json(out)
+    assert list(payload["config"]) == config
+
+
+@pytest.mark.parametrize("argv", [
+    # an option the command does not read
+    ("analyze", "{p3}", "--at", "0,0", "--levels", "3"),
+    ("suite", "--eps-mem", "0.1"),
+    ("check-properties", "{p3}", "--at", "0,0", "--eps-stat", "1e-3"),
+    # a non-finite float
+    ("analyze", "{p3}", "--at", "0,0", "--eps-stat", "nan"),
+    ("suite", "--active-tol=-inf"),
+    ("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "inf"),
+])
+def test_option_rejected_at_parse_time(argv, p3_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(p3=p3_file) for a in argv])
+    assert exc.value.code == 2
+
+
+def test_seed_env_unparsable_is_input_error(p3_file, capsys, monkeypatch):
+    monkeypatch.setenv("CLARKE_KKT_SEED", "abc")
+    code = cli.main(["analyze", p3_file, "--at", "0,0", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "CLARKE_KKT_SEED" in captured.err
+
+
+def test_analyze_error_reports_failed_stage(tmp_path, capsys):
+    path = tmp_path / "inv.prob"
+    path.write_text("dim 1\nobjective 1 / x1\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0", "--json")
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["verdict"] == "error"
+    assert payload["failed_stage"] == "multiplier_recovery"
+    assert "division by zero" in payload["message"]
+
+
+def test_analyze_human_point_is_plain_floats(p3_file, capsys):
+    _, out = run_cli(capsys, "analyze", p3_file, "--at", "0,1")
+    assert "point     : [0.0, 1.0]\n" in out
+
+
+def test_check_properties_invalid_estimator_config_exit_two(p3_file, capsys):
+    code, out = run_cli(capsys, "check-properties", p3_file, "--at", "0,0", "--levels", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_analyze_non_finite_report_is_input_error(tmp_path, capsys):
+    # pow overflows to inf, so the equality norm cannot be written as JSON
+    path = tmp_path / "overflow.prob"
+    path.write_text("dim 1\nobjective abs(x1)\neq pow(x1, 400)\n", encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code, out = run_cli(capsys, "analyze", str(path), "--at", "10", "--json")
+    assert code == 2
+    assert out == ""
