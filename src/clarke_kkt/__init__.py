@@ -18,6 +18,7 @@ from .gendir import (
     check_homogeneity,
     check_subadditivity,
     estimate_gen_dir_deriv,
+    estimate_gen_dir_derivs,
 )
 from .kkt import (
     ConstraintQualificationReport,
@@ -57,6 +58,7 @@ __all__ = [
     "check_homogeneity",
     "check_subadditivity",
     "estimate_gen_dir_deriv",
+    "estimate_gen_dir_derivs",
     "ConstraintQualificationReport",
     "MultiplierCertificate",
     "StationarityReport",

@@ -9,7 +9,8 @@ Commands and the options each one reads (all take --json):
                                     --seed --levels --samples --eps-sub
 
 Without --seed the seed comes from $CLARKE_KKT_SEED, else 42.  A command
-rejects an option it does not read, and float options must be finite.
+rejects an option it does not read, float options must be finite, and
+--sd-radius and --sd-count must be positive.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
 5 constraint qualification failed, 2 input or processing error.
@@ -66,6 +67,23 @@ def _finite_float(text):
     return value
 
 
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 # Every option a command can declare; each default is the library's own.
 OPTIONS = {
     "seed": dict(type=int, default=None,
@@ -75,8 +93,8 @@ OPTIONS = {
     "eps_stat": dict(type=_finite_float, default=DEFAULT_EPS_STAT),
     "active_tol": dict(type=_finite_float, default=DEFAULT_ACTIVE_TOL),
     "eps_sub": dict(type=_finite_float, default=None),
-    "sd_radius": dict(type=_finite_float, default=None),
-    "sd_count": dict(type=int, default=None),
+    "sd_radius": dict(type=_positive_float, default=None),
+    "sd_count": dict(type=_positive_int, default=None),
 }
 # The options each command reads, in the order its JSON `config` lists them.
 VERDICT_OPTIONS = ("seed", "eps_stat", "active_tol", "sd_radius", "sd_count")
@@ -165,8 +183,8 @@ def cmd_analyze(args, out) -> int:
         if report.certificate is not None:
             cert = report.certificate
             out.write(f"residual  : {cert.residual:.6e}\n")
-            out.write(f"z1        : {list(cert.z1)}\n")
-            out.write(f"z2        : {list(cert.z2)}\n")
+            out.write(f"z1        : {cert.z1.tolist()}\n")
+            out.write(f"z2        : {cert.z2.tolist()}\n")
             out.write(f"slackness : {cert.slackness:.6e}\n")
         if report.failed_stage is not None:
             out.write(f"failed at : {report.failed_stage}: {report.message}\n")

@@ -19,6 +19,11 @@ from .errors import EstimationFailureError
 from .problem import ProblemDefinition, as_point, eval_objective_batch
 
 
+# Most floats of stepped points evaluated in one call; a block holds at least
+# one direction, so a call never needs more memory than one direction's batch.
+BLOCK_FLOATS = 1 << 15
+
+
 @dataclass(frozen=True)
 class GenDirConfig:
     levels: int = 6
@@ -75,27 +80,48 @@ def estimate_gen_dir_deriv(prob: ProblemDefinition, u, phi, cfg: GenDirConfig = 
     level's sample set, so the estimate dominates the plain one-sided
     difference quotient at u.
     """
+    return estimate_gen_dir_derivs(prob, u, [phi], cfg)[0]
+
+
+def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig = GenDirConfig()) -> list:
+    """estimate_gen_dir_deriv along each direction in phis, one GenDirEstimate each.
+
+    The level draws depend only on (cfg.seed, level), so each level draws its
+    base points and steps and evaluates F on the base points once for all
+    directions.  The stepped points are evaluated in blocks of at most
+    BLOCK_FLOATS floats (one direction at least).  Every result is bitwise
+    equal to the single-direction estimate.
+    """
     u = as_point(u, prob.n)
-    phi = as_point(phi, prob.n)
-    norm = float(np.linalg.norm(phi))
-    if norm == 0.0:
-        return GenDirEstimate(0.0, (0.0,) * cfg.levels, 0.0)
-    direction = phi / norm
-    per_level = []
-    for level in range(1, cfg.levels + 1):
-        radius = cfg.base_radius * cfg.decay**level
-        t_max = cfg.base_step * cfg.decay**level
-        rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
-        base = sampling.ball_points(rng, u, radius, cfg.samples_per_level)
-        steps = t_max * (1.0 - rng.random(cfg.samples_per_level))  # in (0, t_max]
-        base[0] = u
-        steps[0] = t_max
-        stepped = base + steps[:, None] * direction[None, :]
-        quotients = (eval_objective_batch(prob, stepped) - eval_objective_batch(prob, base)) / steps
-        if not np.all(np.isfinite(quotients)):
-            raise EstimationFailureError("non-finite difference quotient in level sampling")
-        per_level.append(norm * float(np.max(quotients)))
-    return GenDirEstimate(value=per_level[-1], per_level=tuple(per_level), direction_norm=norm)
+    rows = [as_point(phi, prob.n) for phi in phis]
+    norms = [float(np.linalg.norm(phi)) for phi in rows]
+    moving = [i for i, norm in enumerate(norms) if norm != 0.0]
+    per_level = [[] for _ in rows]
+    if moving:
+        directions = np.array([rows[i] / norms[i] for i in moving])
+        block_size = max(1, BLOCK_FLOATS // (cfg.samples_per_level * prob.n))
+        for level in range(1, cfg.levels + 1):
+            radius = cfg.base_radius * cfg.decay**level
+            t_max = cfg.base_step * cfg.decay**level
+            rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
+            base = sampling.ball_points(rng, u, radius, cfg.samples_per_level)
+            steps = t_max * (1.0 - rng.random(cfg.samples_per_level))  # in (0, t_max]
+            base[0] = u
+            steps[0] = t_max
+            f_base = eval_objective_batch(prob, base)
+            for start in range(0, len(moving), block_size):
+                block = directions[start:start + block_size]
+                stepped = base[None] + steps[None, :, None] * block[:, None, :]
+                quotients = (eval_objective_batch(prob, stepped) - f_base) / steps
+                if not np.all(np.isfinite(quotients)):
+                    raise EstimationFailureError("non-finite difference quotient in level sampling")
+                for i, quotient_max in zip(moving[start:start + block_size], np.max(quotients, axis=1)):
+                    per_level[i].append(norms[i] * float(quotient_max))
+    return [
+        GenDirEstimate(values[-1], tuple(values), norm) if values
+        else GenDirEstimate(0.0, (0.0,) * cfg.levels, 0.0)
+        for values, norm in zip(per_level, norms)
+    ]
 
 
 def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig()) -> PropertyReport:
@@ -106,13 +132,13 @@ def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig())
     """
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("all lambdas must be positive")
-    base = estimate_gen_dir_deriv(prob, u, phi, cfg)
+    phi = np.asarray(phi, dtype=float)
+    base, *scaled_estimates = estimate_gen_dir_derivs(prob, u, [phi] + [phi * lam for lam in lambdas], cfg)
     worst = 0.0
     worst_tol = 0.0
     cases = []
     passed = True
-    for lam in lambdas:
-        scaled = estimate_gen_dir_deriv(prob, u, np.asarray(phi, dtype=float) * lam, cfg)
+    for lam, scaled in zip(lambdas, scaled_estimates):
         discrepancy = abs(scaled.value - lam * base.value)
         tol = 1e-12 * (1.0 + lam) * abs(base.value)
         ok = discrepancy <= tol
@@ -145,9 +171,7 @@ def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(),
         raise ValueError("direction dimensions disagree")
     if eps_sub is None:
         eps_sub = 0.05 * (1.0 + float(np.linalg.norm(phi1)) + float(np.linalg.norm(phi2)))
-    combined = estimate_gen_dir_deriv(prob, u, phi1 + phi2, cfg)
-    first = estimate_gen_dir_deriv(prob, u, phi1, cfg)
-    second = estimate_gen_dir_deriv(prob, u, phi2, cfg)
+    combined, first, second = estimate_gen_dir_derivs(prob, u, [phi1 + phi2, phi1, phi2], cfg)
     slack = combined.value - first.value - second.value
     passed = slack <= eps_sub
     case = {

@@ -173,6 +173,11 @@ def _stencil(u, h, n):
     return np.concatenate([u[None, :] + eye, u[None, :] - eye], axis=0)
 
 
+def _central_difference(values, h, n):
+    """Gradient from the objective's values on _stencil(u, h, n)."""
+    return (values[:n] - values[n:]) / (2.0 * h)
+
+
 def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:
     """Central-difference gradient of the objective, step h per coordinate."""
     u = as_point(u, prob.n)
@@ -180,40 +185,47 @@ def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:
         h = default_step(u)
     if h <= 0:
         raise ValueError("step must be positive")
-    values = eval_objective_batch(prob, _stencil(u, h, prob.n))
-    return (values[: prob.n] - values[prob.n:]) / (2.0 * h)
+    return _central_difference(eval_objective_batch(prob, _stencil(u, h, prob.n)), h, prob.n)
 
 
 def finite_diff_gradient_expr(expr: Expression, u, h) -> np.ndarray:
     """Central-difference gradient of a single expression at u."""
     u = np.asarray(u, dtype=float)
     n = u.size
-    values = np.asarray(evaluate(expr, _stencil(u, h, n)), dtype=float)
-    return (values[:n] - values[n:]) / (2.0 * h)
+    return _central_difference(np.asarray(evaluate(expr, _stencil(u, h, n)), dtype=float), h, n)
 
 
-def kink_mismatch(prob: ProblemDefinition, u, h) -> float:
-    """Max over coordinates of |forward quotient - backward quotient| at step h."""
-    u = as_point(u, prob.n)
+def _kink_mismatch(prob: ProblemDefinition, u, h):
+    """(mismatch, values): kink_mismatch at u and the objective on _stencil(u, h, n)."""
     f0 = eval_objective(prob, u)
     values = eval_objective_batch(prob, _stencil(u, h, prob.n))
     fwd = (values[: prob.n] - f0) / h
     bwd = (f0 - values[prob.n:]) / h
-    return float(np.max(np.abs(fwd - bwd)))
+    return float(np.max(np.abs(fwd - bwd))), values
+
+
+def kink_mismatch(prob: ProblemDefinition, u, h) -> float:
+    """Max over coordinates of |forward quotient - backward quotient| at step h."""
+    return _kink_mismatch(prob, as_point(u, prob.n), h)[0]
 
 
 def kink_avoiding_gradient(prob: ProblemDefinition, u, h):
     """Gradient sample with one-shot kink avoidance.
 
     A point whose forward/backward quotients disagree by more than KINK_TOL
-    is shifted by +h along the first coordinate and re-evaluated once.
+    is shifted by +h along the first coordinate and re-evaluated once;
+    otherwise the gradient comes from the stencil values already evaluated.
     Returns (gradient, point_used).
     """
     u = as_point(u, prob.n)
-    if kink_mismatch(prob, u, h) > KINK_TOL:
+    if h <= 0:
+        raise ValueError("step must be positive")
+    mismatch, values = _kink_mismatch(prob, u, h)
+    if mismatch > KINK_TOL:
         u = u.copy()
         u[0] += h
-    return finite_diff_gradient(prob, u, h), u
+        return finite_diff_gradient(prob, u, h), u
+    return _central_difference(values, h, prob.n), u
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import sampling
 from .errors import EstimationFailureError
-from .gendir import GenDirConfig, estimate_gen_dir_deriv
+from .gendir import GenDirConfig, estimate_gen_dir_derivs
+from .gendir import estimate_gen_dir_deriv  # noqa: F401  (stays importable from subdiff)
 from .problem import ProblemDefinition, as_point, kink_avoiding_gradient
 
 DEFAULT_EPS_MEM = 0.05
@@ -77,12 +78,12 @@ def membership_test(prob: ProblemDefinition, u, g, cfg: GenDirConfig = GenDirCon
         directions = 2 * n + 64
     if directions < 2 * n:
         raise ValueError("need at least the 2n signed coordinate directions")
-    phis = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
+    eye = np.eye(n)
+    phis = [e for i in range(n) for e in (eye[i], -eye[i])]
     rng = sampling.substream(cfg.seed, sampling.NS_MEMBERSHIP, 0)
     phis += [sampling.unit_direction(rng, n) for _ in range(directions - 2 * n)]
     worst_gap = -np.inf
-    for phi in phis:
-        estimate = estimate_gen_dir_deriv(prob, u, phi, cfg)
+    for phi, estimate in zip(phis, estimate_gen_dir_derivs(prob, u, phis, cfg)):
         gap = float(phi @ g) - estimate.value
         worst_gap = max(worst_gap, gap)
     return worst_gap <= eps_mem, worst_gap

@@ -189,6 +189,31 @@ def test_analyze_human_point_is_plain_floats(p3_file, capsys):
     assert "point     : [0.0, 1.0]\n" in out
 
 
+def test_analyze_human_multipliers_are_plain_floats(tmp_path, capsys):
+    path = tmp_path / "eq_ineq.prob"
+    path.write_text("dim 2\nobjective abs(x1) + x2\neq x1\nineq -x2\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0,0")
+    assert code == 0
+    lines = {key.strip(): value for key, value in (line.split(":", 1) for line in out.splitlines())}
+    for key in ("z1", "z2"):
+        values = json.loads(lines[key])
+        assert len(values) == 1
+        assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("option", [
+    ("--sd-count", "0"), ("--sd-count", "-3"), ("--sd-count", "2.5"),
+    ("--sd-radius", "0"), ("--sd-radius=-1e-3",),
+])
+@pytest.mark.parametrize("command", ["analyze", "suite"])
+def test_non_positive_sampling_option_exit_two(command, option, p3_file, capsys):
+    argv = ["analyze", p3_file, "--at", "0,0"] if command == "analyze" else ["suite"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + list(option))
+    assert exc.value.code == 2
+    assert "positive" in capsys.readouterr().err
+
+
 def test_check_properties_invalid_estimator_config_exit_two(p3_file, capsys):
     code, out = run_cli(capsys, "check-properties", p3_file, "--at", "0,0", "--levels", "1")
     assert code == 2

@@ -7,8 +7,17 @@ quotients (F(v + t) - F(v)) / t over base points v near u and steps t near
 import numpy as np
 import pytest
 
-from clarke_kkt.gendir import GenDirConfig, check_homogeneity, check_subadditivity, estimate_gen_dir_deriv
+from clarke_kkt import sampling
+from clarke_kkt.gendir import (
+    BLOCK_FLOATS,
+    GenDirConfig,
+    check_homogeneity,
+    check_subadditivity,
+    estimate_gen_dir_deriv,
+    estimate_gen_dir_derivs,
+)
 from clarke_kkt.problem import finite_diff_gradient, parse_problem
+from clarke_kkt.subdiff import membership_test
 
 
 def dense_grid_oracle_1d(f, u, radius=2e-3, t_max=2e-3, points=1000):
@@ -145,3 +154,49 @@ def test_smooth_estimates_match_gradient_inner_products():
             est = estimate_gen_dir_deriv(prob, u, phi)
             inner = float(grad @ phi)
             assert abs(est.value - inner) <= 0.05 * (1.0 + abs(inner))
+
+
+# --- batched directions -----------------------------------------------------
+
+A20 = parse_problem("dim 20\nobjective " + " + ".join(f"abs(x{i})" for i in range(1, 21)))
+
+
+def test_max_along_diagonal_per_level_is_pinned():
+    # the exact values of the one-direction-at-a-time estimator this batched
+    # one replaced; any change to the arithmetic shows here
+    est = estimate_gen_dir_deriv(MAX2, [0.0, 0.0], [1.0, 1.0], GenDirConfig(seed=42))
+    assert est.per_level == (1.0000000000000033, 1.0000000000000233, 1.0000000000000095,
+                             1.0000000000000007, 1.000000000000004, 1.0000000000000848)
+    assert est.value == 1.0000000000000848
+    assert est.direction_norm == 1.4142135623730951
+
+
+def test_batch_equals_single_direction_calls():
+    cfg = GenDirConfig(seed=3)
+    assert 104 > 3 * max(1, BLOCK_FLOATS // (cfg.samples_per_level * 20))  # several blocks
+    rng = np.random.default_rng(0)
+    phis = list(rng.standard_normal((104, 20)))
+    phis[50] = np.zeros(20)
+    u = np.full(20, 0.01)
+    batch = estimate_gen_dir_derivs(A20, u, phis, cfg)
+    assert batch == [estimate_gen_dir_deriv(A20, u, phi, cfg) for phi in phis]
+    assert batch[50].direction_norm == 0.0
+    order = rng.permutation(104)
+    assert estimate_gen_dir_derivs(A20, u, [phis[i] for i in order], cfg) == [batch[i] for i in order]
+
+
+def test_membership_equals_single_direction_gaps_in_any_order():
+    n = 5
+    prob = parse_problem(f"dim {n}\nobjective " + " + ".join(f"abs(x{i})" for i in range(1, n + 1)))
+    cfg = GenDirConfig(seed=11)
+    u = np.zeros(n)
+    g = np.full(n, 0.3)
+    eye = np.eye(n)
+    rng = sampling.substream(cfg.seed, sampling.NS_MEMBERSHIP, 0)
+    phis = [e for i in range(n) for e in (eye[i], -eye[i])]
+    phis += [sampling.unit_direction(rng, n) for _ in range(64)]
+    gaps = [float(phi @ g) - estimate_gen_dir_deriv(prob, u, phi, cfg).value for phi in phis]
+    count = len(phis)
+    for order in (range(count), reversed(range(count)), np.random.default_rng(1).permutation(count)):
+        worst = max(gaps[i] for i in order)
+        assert membership_test(prob, u, g, cfg) == (worst <= 0.05, worst)

@@ -140,6 +140,18 @@ def test_kink_detection_and_avoidance():
     assert abs(g[0] - 1.0) < 1e-9
 
 
+
+def test_kink_avoiding_gradient_equals_central_difference_at_point_used():
+    prob = parse_problem("dim 2\nobjective abs(x1) + pow(x2, 3)")
+    h = 1e-5
+    for u, shifted in (([0.3, 0.2], False), ([0.0, 0.2], True)):
+        g, used = kink_avoiding_gradient(prob, u, h)
+        assert (not np.array_equal(used, u)) == shifted
+        assert g.tobytes() == finite_diff_gradient(prob, used, h).tobytes()
+    for h in (0.0, -1e-5):
+        with pytest.raises(ValueError):
+            kink_avoiding_gradient(prob, [0.3, 0.2], h)
+
 # --- Lipschitz estimation ---------------------------------------------------
 
 def test_lipschitz_abs():
