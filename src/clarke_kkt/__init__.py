@@ -25,15 +25,12 @@ from .kkt import (
     MultiplierCertificate,
     StationarityReport,
     check_constraint_qualification,
-    check_jacobian_lipschitz,
     jacobians,
     recover_multipliers,
     verify_stationarity,
 )
 from .problem import (
-    LipschitzEstimate,
     ProblemDefinition,
-    estimate_lipschitz,
     eval_constraints,
     eval_objective,
     finite_diff_gradient,
@@ -63,13 +60,10 @@ __all__ = [
     "MultiplierCertificate",
     "StationarityReport",
     "check_constraint_qualification",
-    "check_jacobian_lipschitz",
     "jacobians",
     "recover_multipliers",
     "verify_stationarity",
-    "LipschitzEstimate",
     "ProblemDefinition",
-    "estimate_lipschitz",
     "eval_constraints",
     "eval_objective",
     "finite_diff_gradient",

@@ -16,12 +16,7 @@ import numpy as np
 
 from . import sampling
 from .errors import EstimationFailureError
-from .problem import ProblemDefinition, as_point, eval_objective_batch
-
-
-# Most floats of stepped points evaluated in one call; a block holds at least
-# one direction, so a call never needs more memory than one direction's batch.
-BLOCK_FLOATS = 1 << 15
+from .problem import BLOCK_FLOATS, ProblemDefinition, as_point, eval_objective_batch
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import sampling
 from .errors import CQIndeterminateError, ClarkeKKTError
 from .problem import (
     ProblemDefinition,
@@ -84,12 +83,13 @@ class StationarityReport:
     message: Optional[str] = None
 
     def to_dict(self):
-        max_viol = self.feasibility[1]
+        # max_ineq_violation is -inf without inequalities, and a constraint
+        # value at the point may overflow; JSON has no infinities
+        eq_norm, max_viol = (value if np.isfinite(value) else None for value in self.feasibility)
         return {
             "feasibility": {
-                "eq_norm": self.feasibility[0],
-                # -inf without inequalities; JSON has no infinities
-                "max_ineq_violation": None if max_viol == -np.inf else max_viol,
+                "eq_norm": eq_norm,
+                "max_ineq_violation": max_viol,
             },
             "cq": None if self.cq is None else self.cq.to_dict(),
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
@@ -111,26 +111,6 @@ def jacobians(prob: ProblemDefinition, u, h=None):
     for i, expr in enumerate(prob.ineq):
         J2[i] = finite_diff_gradient_expr(expr, u, h)
     return J1, J2
-
-
-def check_jacobian_lipschitz(prob: ProblemDefinition, u0, alpha, n_samples=50, seed=42) -> float:
-    """Empirical Lipschitz constant of the equality Jacobian near u0 (diagnostic only)."""
-    u0 = as_point(u0, prob.n)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if prob.m == 0:
-        return 0.0
-    J0, _ = jacobians(prob, u0)
-    best = 0.0
-    for i in range(n_samples):
-        rng = sampling.substream(seed, sampling.NS_JAC_LIPSCHITZ, i)
-        phi = sampling.ball_point(rng, np.zeros(prob.n), alpha)
-        nrm = float(np.linalg.norm(phi))
-        if nrm == 0.0:
-            continue
-        J, _ = jacobians(prob, u0 + phi)
-        best = max(best, float(np.linalg.norm(J - J0)) / nrm)
-    return best
 
 
 def check_constraint_qualification(prob: ProblemDefinition, u0,
@@ -197,6 +177,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     sampling, multiplier recovery, verdict.
 
     Equality-only problems skip the Slater check (it is vacuous for them).
+    A non-finite constraint value at u0 is a feasibility-stage error.
     A stage failure is recorded in the report, never silently dropped.
     """
     u0 = as_point(u0, prob.n)
@@ -204,6 +185,10 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
     max_viol = float(np.max(ineq_values, initial=-np.inf)) if prob.p else -np.inf
     feasibility = (eq_norm, max_viol)
+    for kind, values in (("equality", eq_values), ("inequality", ineq_values)):
+        if not np.all(np.isfinite(values)):
+            return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
+                                      message=f"non-finite {kind} constraint value at the point")
     if eq_norm > FEAS_TOL or (prob.p and max_viol > FEAS_TOL):
         return StationarityReport(feasibility, None, None, "infeasible")
     try:

@@ -1,4 +1,4 @@
-"""Problem definitions, evaluation, finite differences, and Lipschitz estimation.
+"""Problem definitions, evaluation, and finite differences.
 
 A problem file is line-oriented UTF-8; '#' starts a comment.  Lines:
 
@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
 from .errors import ProblemParseError
 from .expressions import Expression, evaluate, max_var_index, parse_expression, to_text
 
 KINK_TOL = 1e-3
+
+# Most floats of points evaluated in one batched call; a block holds at least
+# one unit of work (a stencil, a direction's stepped points), so a call never
+# needs more memory than one unit.
+BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,6 @@ class ProblemDefinition:
     @property
     def p(self) -> int:
         return len(self.ineq)
-
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Sampled local Lipschitz data: max quotient over pairs in the ball of the given radius."""
-
-    radius: float
-    constant: float
-    sample_count: int
 
 
 def as_point(u, n) -> np.ndarray:
@@ -168,14 +163,33 @@ def default_step(u) -> float:
     return 1e-6 * (1.0 + float(np.max(np.abs(u), initial=0.0)))
 
 
-def _stencil(u, h, n):
+def _stencil(points, h, n):
+    """(..., 2n, n): each point + h*e_j, then each point - h*e_j."""
     eye = np.eye(n) * h
-    return np.concatenate([u[None, :] + eye, u[None, :] - eye], axis=0)
+    return np.concatenate([points[..., None, :] + eye, points[..., None, :] - eye], axis=-2)
 
 
 def _central_difference(values, h, n):
-    """Gradient from the objective's values on _stencil(u, h, n)."""
-    return (values[:n] - values[n:]) / (2.0 * h)
+    """Gradients from the objective's values on _stencil(points, h, n)."""
+    return (values[..., :n] - values[..., n:]) / (2.0 * h)
+
+
+def _kink_stencil(points, h, n):
+    """(rows, 2n+1, n): each point itself, then its _stencil.
+
+    The point is taken as it is, not as point + 0.0, which would turn -0.0
+    into +0.0.
+    """
+    return np.concatenate([points[:, None, :], _stencil(points, h, n)], axis=1)
+
+
+def _kink_mismatches(values, h, n):
+    """Per row, max over coordinates of |forward - backward quotient|, from
+    the objective's values on _kink_stencil(points, h, n)."""
+    f0 = values[:, :1]
+    fwd = (values[:, 1:n + 1] - f0) / h
+    bwd = (f0 - values[:, n + 1:]) / h
+    return np.max(np.abs(fwd - bwd), axis=1)
 
 
 def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:
@@ -195,63 +209,56 @@ def finite_diff_gradient_expr(expr: Expression, u, h) -> np.ndarray:
     return _central_difference(np.asarray(evaluate(expr, _stencil(u, h, n)), dtype=float), h, n)
 
 
-def _kink_mismatch(prob: ProblemDefinition, u, h):
-    """(mismatch, values): kink_mismatch at u and the objective on _stencil(u, h, n)."""
-    f0 = eval_objective(prob, u)
-    values = eval_objective_batch(prob, _stencil(u, h, prob.n))
-    fwd = (values[: prob.n] - f0) / h
-    bwd = (f0 - values[prob.n:]) / h
-    return float(np.max(np.abs(fwd - bwd))), values
-
-
 def kink_mismatch(prob: ProblemDefinition, u, h) -> float:
     """Max over coordinates of |forward quotient - backward quotient| at step h."""
-    return _kink_mismatch(prob, as_point(u, prob.n), h)[0]
+    u = as_point(u, prob.n)
+    values = eval_objective_batch(prob, _kink_stencil(u[None], h, prob.n))
+    return float(_kink_mismatches(values, h, prob.n)[0])
 
 
 def kink_avoiding_gradient(prob: ProblemDefinition, u, h):
-    """Gradient sample with one-shot kink avoidance.
+    """Gradient sample with one-shot kink avoidance; kink_avoiding_gradients
+    on the single point u.  Returns (gradient, point_used)."""
+    u = as_point(u, prob.n)
+    gradients, points_used = kink_avoiding_gradients(prob, u[None], h)
+    return gradients[0], points_used[0]
+
+
+def kink_avoiding_gradients(prob: ProblemDefinition, points, h):
+    """Gradient samples with one-shot kink avoidance at each row of points.
 
     A point whose forward/backward quotients disagree by more than KINK_TOL
-    is shifted by +h along the first coordinate and re-evaluated once;
-    otherwise the gradient comes from the stencil values already evaluated.
-    Returns (gradient, point_used).
+    is shifted by +h along the first coordinate and its central difference
+    is taken there; otherwise the gradient comes from the stencil values
+    the kink test already evaluated.  Phase 1 evaluates the kink stencils
+    of all points, phase 2 the stencils of the shifted ones, each in blocks
+    of at most BLOCK_FLOATS floats (one stencil at least).  Every row is
+    bitwise equal to what its point alone gives.  Returns (gradients,
+    points_used), both of shape (k, n).
     """
-    u = as_point(u, prob.n)
+    n = prob.n
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"points have shape {points.shape}, expected (k, {n})")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("point has non-finite coordinates")
     if h <= 0:
         raise ValueError("step must be positive")
-    mismatch, values = _kink_mismatch(prob, u, h)
-    if mismatch > KINK_TOL:
-        u = u.copy()
-        u[0] += h
-        return finite_diff_gradient(prob, u, h), u
-    return _central_difference(values, h, prob.n), u
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz estimation
-# ---------------------------------------------------------------------------
-
-def estimate_lipschitz(prob: ProblemDefinition, u0, r, n_samples, seed=42) -> LipschitzEstimate:
-    """Max difference quotient over n_samples point pairs in the ball B_r(u0).
-
-    Sample i draws its pair from substream (seed, i), so for a fixed seed the
-    first N1 samples of an N2 > N1 run coincide and the estimate is monotone
-    in the sample count.
-    """
-    u0 = as_point(u0, prob.n)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    best = 0.0
-    for i in range(n_samples):
-        rng = sampling.substream(seed, sampling.NS_LIPSCHITZ, i)
-        u = sampling.ball_point(rng, u0, r)
-        v = sampling.ball_point(rng, u0, r)
-        dist = float(np.linalg.norm(u - v))
-        if dist == 0.0:
-            continue
-        quotient = abs(eval_objective(prob, u) - eval_objective(prob, v)) / dist
-        best = max(best, quotient)
-    return LipschitzEstimate(radius=float(r), constant=best, sample_count=n_samples)
+    gradients = np.empty(points.shape)
+    shift = np.empty(len(points), dtype=bool)
+    rows = max(1, BLOCK_FLOATS // ((2 * n + 1) * n))
+    for start in range(0, len(points), rows):
+        block = slice(start, start + rows)
+        values = eval_objective_batch(prob, _kink_stencil(points[block], h, n))
+        shift[block] = _kink_mismatches(values, h, n) > KINK_TOL
+        keep = ~shift[block]
+        gradients[block][keep] = _central_difference(values[keep, 1:], h, n)
+    shifted = np.flatnonzero(shift)
+    points_used = points.copy()
+    points_used[shifted, 0] += h
+    rows = max(1, BLOCK_FLOATS // (2 * n * n))
+    for start in range(0, len(shifted), rows):
+        block = shifted[start:start + rows]
+        values = eval_objective_batch(prob, _stencil(points_used[block], h, n))
+        gradients[block] = _central_difference(values, h, n)
+    return gradients, points_used

@@ -11,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 # Namespace tags keep the streams of different operations disjoint when
-# they share one user-facing seed.
-NS_LIPSCHITZ = 1
+# they share one user-facing seed.  The values key the seeded streams, so
+# they never change; 1 and 5 are retired.
 NS_GENDIR = 2
 NS_SUBDIFF = 3
 NS_MEMBERSHIP = 4
-NS_JAC_LIPSCHITZ = 5
 NS_PROPERTIES = 6
 
 

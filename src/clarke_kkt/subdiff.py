@@ -15,7 +15,8 @@ from . import sampling
 from .errors import EstimationFailureError
 from .gendir import GenDirConfig, estimate_gen_dir_derivs
 from .gendir import estimate_gen_dir_deriv  # noqa: F401  (stays importable from subdiff)
-from .problem import ProblemDefinition, as_point, kink_avoiding_gradient
+from .problem import ProblemDefinition, as_point, kink_avoiding_gradients
+from .problem import kink_avoiding_gradient  # noqa: F401  (stays importable from subdiff)
 
 DEFAULT_EPS_MEM = 0.05
 
@@ -37,8 +38,9 @@ def default_radius(u) -> float:
 def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None, seed=42) -> SubdifferentialApprox:
     """Gradients at k random points in the ball around u (u itself always included).
 
-    Every evaluation point passes through the one-shot kink-avoidance rule;
-    the finite-difference step is radius / 100.
+    Every evaluation point passes through the one-shot kink-avoidance rule,
+    all points in one kink_avoiding_gradients call; the finite-difference
+    step is radius / 100.
     """
     u = as_point(u, prob.n)
     if radius is None:
@@ -49,15 +51,9 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None, seed
         k = 30 + 2 * prob.n
     if k < 1:
         raise ValueError("need at least one sample")
-    h = radius / 100.0
-    gradients = np.empty((k, prob.n))
-    for i in range(k):
-        if i == 0:
-            point = u
-        else:
-            rng = sampling.substream(seed, sampling.NS_SUBDIFF, i)
-            point = sampling.ball_point(rng, u, radius)
-        gradients[i], _ = kink_avoiding_gradient(prob, point, h)
+    points = [u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)
+                    for i in range(1, k)]
+    gradients, _ = kink_avoiding_gradients(prob, np.array(points), radius / 100.0)
     if not np.all(np.isfinite(gradients)):
         raise EstimationFailureError("non-finite sampled gradient")
     return SubdifferentialApprox(points=gradients, radius_used=float(radius), seed=seed)

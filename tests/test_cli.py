@@ -184,6 +184,25 @@ def test_analyze_error_reports_failed_stage(tmp_path, capsys):
     assert "division by zero" in payload["message"]
 
 
+@pytest.mark.parametrize("as_json", [True, False])
+def test_analyze_non_finite_constraint_is_feasibility_error(as_json, tmp_path, capsys):
+    path = tmp_path / "overflow.prob"
+    path.write_text("dim 1\nobjective abs(x1)\neq pow(x1, 400) - 1\n", encoding="utf-8")
+    argv = ["analyze", str(path), "--at", "10"] + (["--json"] if as_json else [])
+    with np.errstate(over="ignore"):
+        code, out = run_cli(capsys, *argv)
+    assert code == 2
+    if as_json:
+        payload = _strict_json(out)
+        assert payload["verdict"] == "error"
+        assert payload["failed_stage"] == "feasibility"
+        assert "non-finite equality constraint value" in payload["message"]
+        assert payload["feasibility"] == {"eq_norm": None, "max_ineq_violation": None}
+    else:
+        assert "failed at : feasibility: non-finite equality constraint value" in out
+        assert out.endswith("verdict   : error\n")
+
+
 def test_analyze_human_point_is_plain_floats(p3_file, capsys):
     _, out = run_cli(capsys, "analyze", p3_file, "--at", "0,1")
     assert "point     : [0.0, 1.0]\n" in out
@@ -221,10 +240,10 @@ def test_check_properties_invalid_estimator_config_exit_two(p3_file, capsys):
 
 
 def test_analyze_non_finite_report_is_input_error(tmp_path, capsys):
-    # pow overflows to inf, so the equality norm cannot be written as JSON
+    # pow overflows to inf: a feasibility-stage error, its norm written as null
     path = tmp_path / "overflow.prob"
     path.write_text("dim 1\nobjective abs(x1)\neq pow(x1, 400)\n", encoding="utf-8")
     with np.errstate(over="ignore"):
         code, out = run_cli(capsys, "analyze", str(path), "--at", "10", "--json")
     assert code == 2
-    assert out == ""
+    assert _strict_json(out)["failed_stage"] == "feasibility"

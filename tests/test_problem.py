@@ -1,14 +1,14 @@
-"""Problem files, evaluation oracles, finite differences, Lipschitz estimation."""
+"""Problem files, evaluation oracles, finite differences."""
 import numpy as np
 import pytest
 
 from clarke_kkt.errors import EvaluationDomainError, ProblemParseError
 from clarke_kkt.problem import (
-    estimate_lipschitz,
     eval_constraints,
     eval_objective,
     finite_diff_gradient,
     kink_avoiding_gradient,
+    kink_avoiding_gradients,
     kink_mismatch,
     parse_problem,
     to_problem_text,
@@ -152,36 +152,14 @@ def test_kink_avoiding_gradient_equals_central_difference_at_point_used():
         with pytest.raises(ValueError):
             kink_avoiding_gradient(prob, [0.3, 0.2], h)
 
-# --- Lipschitz estimation ---------------------------------------------------
 
-def test_lipschitz_abs():
-    prob = parse_problem("dim 1\nobjective abs(x1)")
-    est = estimate_lipschitz(prob, [0.0], r=1.0, n_samples=200, seed=7)
-    assert 0.5 <= est.constant <= 1.0 + 1e-12
-
-
-def test_lipschitz_constant_function():
-    prob = parse_problem("dim 2\nobjective 7")
-    est = estimate_lipschitz(prob, [0.0, 0.0], r=1.0, n_samples=50, seed=0)
-    assert est.constant == 0.0
-
-
-def test_lipschitz_linear_is_exact():
-    # quotient |3u - 3v| / |u - v| is algebraically 3 for every pair
-    prob = parse_problem("dim 1\nobjective 3 * x1")
-    est = estimate_lipschitz(prob, [5.0], r=1.0, n_samples=100, seed=3)
-    assert abs(est.constant - 3.0) <= 1e-9
-
-
-def test_lipschitz_monotone_in_sample_count():
-    prob = parse_problem("dim 2\nobjective abs(x1) * max(x2, 0.5)")
-    values = [estimate_lipschitz(prob, [0.0, 0.0], r=0.5, n_samples=n, seed=11).constant
-              for n in (10, 50, 200)]
-    assert values[0] <= values[1] <= values[2]
-
-
-def test_lipschitz_deterministic():
-    prob = parse_problem("dim 1\nobjective abs(x1)")
-    a = estimate_lipschitz(prob, [0.0], r=1.0, n_samples=100, seed=5)
-    b = estimate_lipschitz(prob, [0.0], r=1.0, n_samples=100, seed=5)
-    assert a == b
+def test_kink_avoiding_gradients_checks_its_input_before_evaluating():
+    # a pole at 0: any evaluation would raise EvaluationDomainError
+    prob = parse_problem("dim 2\nobjective 1 / x1 + x2")
+    for h in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="step"):
+            kink_avoiding_gradients(prob, np.zeros((3, 2)), h)
+    with pytest.raises(ValueError, match="shape"):
+        kink_avoiding_gradients(prob, np.zeros((3, 3)), 1e-5)
+    with pytest.raises(ValueError, match="non-finite"):
+        kink_avoiding_gradients(prob, [[1.0, 1.0], [np.inf, 1.0]], 1e-5)
