@@ -13,7 +13,9 @@ rejects an option it does not read, float options must be finite, and
 --sd-radius and --sd-count must be positive.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
-5 constraint qualification failed, 2 input or processing error.
+5 constraint qualification failed, 2 input or processing error (verdict
+`error`, also when the objective or a constraint is undefined or
+non-finite at the point).
 JSON output is strict RFC 8259 JSON, schema-stable and byte-reproducible
 for a fixed seed, except for the timings field; its `config` echoes the
 command's own options.

@@ -3,10 +3,10 @@
 The theoretical quantity is a supremum of limsup difference quotients over
 all base-point and step sequences approaching (u, 0+).  The estimator
 replaces it with a finite multi-scale max: at level k it draws base points
-within radius r0*decay^k of u and steps in (0, t0*decay^k], records the
-level maximum of (F(v + t*d) - F(v)) / t along the normalized direction d,
-and reports the finest level scaled by the direction norm.  Coarse-level
-maxima are kept for convergence diagnostics.
+within radius BASE_RADIUS*DECAY^k of u and steps in (0, BASE_STEP*DECAY^k],
+records the level maximum of (F(v + t*d) - F(v)) / t along the normalized
+direction d, and reports the finest level scaled by the direction norm.
+Coarse-level maxima are kept for convergence diagnostics.
 """
 from __future__ import annotations
 
@@ -18,23 +18,20 @@ from . import sampling
 from .errors import EstimationFailureError
 from .problem import BLOCK_FLOATS, ProblemDefinition, as_point, eval_objective_batch
 
+BASE_RADIUS = 0.1
+BASE_STEP = 0.1
+DECAY = 0.5
+
 
 @dataclass(frozen=True)
 class GenDirConfig:
     levels: int = 6
-    base_radius: float = 0.1
-    base_step: float = 0.1
-    decay: float = 0.5
     samples_per_level: int = 200
     seed: int = 42
 
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError("levels must be at least 2")
-        if self.base_radius <= 0 or self.base_step <= 0:
-            raise ValueError("base_radius and base_step must be positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
         if self.samples_per_level < 1:
             raise ValueError("samples_per_level must be at least 1")
 
@@ -96,8 +93,8 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
         directions = np.array([rows[i] / norms[i] for i in moving])
         block_size = max(1, BLOCK_FLOATS // (cfg.samples_per_level * prob.n))
         for level in range(1, cfg.levels + 1):
-            radius = cfg.base_radius * cfg.decay**level
-            t_max = cfg.base_step * cfg.decay**level
+            radius = BASE_RADIUS * DECAY**level
+            t_max = BASE_STEP * DECAY**level
             rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
             base = sampling.ball_points(rng, u, radius, cfg.samples_per_level)
             steps = t_max * (1.0 - rng.random(cfg.samples_per_level))  # in (0, t_max]

@@ -16,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CQIndeterminateError, ClarkeKKTError
+from .errors import CQIndeterminateError, ClarkeKKTError, EvaluationDomainError
 from .problem import (
     ProblemDefinition,
     as_point,
-    eval_constraints,
-    finite_diff_gradient_expr,
     default_step,
+    eval_constraints,
+    eval_objective,
+    finite_diff_gradient_expr,
 )
 from .solver import slater_direction, solve_structured_ls
 from .subdiff import SubdifferentialApprox, sample_subdifferential
@@ -83,8 +84,9 @@ class StationarityReport:
     message: Optional[str] = None
 
     def to_dict(self):
-        # max_ineq_violation is -inf without inequalities, and a constraint
-        # value at the point may overflow; JSON has no infinities
+        # max_ineq_violation is -inf without inequalities, a constraint value
+        # at the point may overflow, and both are nan when a constraint is
+        # undefined there; JSON has no infinities or nans
         eq_norm, max_viol = (value if np.isfinite(value) else None for value in self.feasibility)
         return {
             "feasibility": {
@@ -99,11 +101,10 @@ class StationarityReport:
         }
 
 
-def jacobians(prob: ProblemDefinition, u, h=None):
+def jacobians(prob: ProblemDefinition, u):
     """(J1, J2): finite-difference Jacobians of the equality and inequality maps."""
     u = as_point(u, prob.n)
-    if h is None:
-        h = default_step(u)
+    h = default_step(u)
     J1 = np.zeros((prob.m, prob.n))
     J2 = np.zeros((prob.p, prob.n))
     for i, expr in enumerate(prob.eq):
@@ -177,18 +178,26 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     sampling, multiplier recovery, verdict.
 
     Equality-only problems skip the Slater check (it is vacuous for them).
-    A non-finite constraint value at u0 is a feasibility-stage error.
+    An objective or constraint that is undefined (a domain error) or
+    non-finite at u0 is a feasibility-stage error.
     A stage failure is recorded in the report, never silently dropped.
     """
     u0 = as_point(u0, prob.n)
-    eq_values, ineq_values = eval_constraints(prob, u0)
-    eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
-    max_viol = float(np.max(ineq_values, initial=-np.inf)) if prob.p else -np.inf
-    feasibility = (eq_norm, max_viol)
-    for kind, values in (("equality", eq_values), ("inequality", ineq_values)):
+    feasibility = (np.nan, np.nan)  # unknown until the constraints evaluate
+    try:
+        eq_values, ineq_values = eval_constraints(prob, u0)
+        eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
+        max_viol = float(np.max(ineq_values, initial=-np.inf)) if prob.p else -np.inf
+        feasibility = (eq_norm, max_viol)
+        objective_value = eval_objective(prob, u0)
+    except EvaluationDomainError as exc:
+        return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
+                                  message=str(exc))
+    for kind, values in (("equality constraint", eq_values), ("inequality constraint", ineq_values),
+                         ("objective", objective_value)):
         if not np.all(np.isfinite(values)):
             return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
-                                      message=f"non-finite {kind} constraint value at the point")
+                                      message=f"non-finite {kind} value at the point")
     if eq_norm > FEAS_TOL or (prob.p and max_viol > FEAS_TOL):
         return StationarityReport(feasibility, None, None, "infeasible")
     try:

@@ -199,21 +199,13 @@ def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:
         h = default_step(u)
     if h <= 0:
         raise ValueError("step must be positive")
-    return _central_difference(eval_objective_batch(prob, _stencil(u, h, prob.n)), h, prob.n)
+    return finite_diff_gradient_expr(prob.objective, u, h)
 
 
-def finite_diff_gradient_expr(expr: Expression, u, h) -> np.ndarray:
-    """Central-difference gradient of a single expression at u."""
-    u = np.asarray(u, dtype=float)
+def finite_diff_gradient_expr(expr: Expression, u: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of one expression at the point u, step h per coordinate."""
     n = u.size
     return _central_difference(np.asarray(evaluate(expr, _stencil(u, h, n)), dtype=float), h, n)
-
-
-def kink_mismatch(prob: ProblemDefinition, u, h) -> float:
-    """Max over coordinates of |forward quotient - backward quotient| at step h."""
-    u = as_point(u, prob.n)
-    values = eval_objective_batch(prob, _kink_stencil(u[None], h, prob.n))
-    return float(_kink_mismatches(values, h, prob.n)[0])
 
 
 def kink_avoiding_gradient(prob: ProblemDefinition, u, h):

@@ -14,11 +14,14 @@ import numpy as np
 from . import sampling
 from .errors import EstimationFailureError
 from .gendir import GenDirConfig, estimate_gen_dir_derivs
-from .gendir import estimate_gen_dir_deriv  # noqa: F401  (stays importable from subdiff)
 from .problem import ProblemDefinition, as_point, kink_avoiding_gradients
-from .problem import kink_avoiding_gradient  # noqa: F401  (stays importable from subdiff)
 
-DEFAULT_EPS_MEM = 0.05
+# Not called here: the benchmark's tracer patches these two names on this
+# module, so they stay importable from subdiff.
+from .gendir import estimate_gen_dir_deriv  # noqa: F401
+from .problem import kink_avoiding_gradient  # noqa: F401
+
+EPS_MEM = 0.05
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,6 @@ class SubdifferentialApprox:
     """points has shape (k, n): sampled gradients near the base point."""
 
     points: np.ndarray
-    radius_used: float
-    seed: int
 
 
 def default_radius(u) -> float:
@@ -56,30 +57,25 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None, seed
     gradients, _ = kink_avoiding_gradients(prob, np.array(points), radius / 100.0)
     if not np.all(np.isfinite(gradients)):
         raise EstimationFailureError("non-finite sampled gradient")
-    return SubdifferentialApprox(points=gradients, radius_used=float(radius), seed=seed)
+    return SubdifferentialApprox(points=gradients)
 
 
-def membership_test(prob: ProblemDefinition, u, g, cfg: GenDirConfig = GenDirConfig(),
-                    directions=None, eps_mem=DEFAULT_EPS_MEM):
+def membership_test(prob: ProblemDefinition, u, g, cfg: GenDirConfig = GenDirConfig()):
     """Support-inequality membership of g in the estimated subgradient set.
 
-    Tests <phi, g> <= H_est(phi) + eps_mem over the 2n signed coordinate
-    directions plus (directions - 2n) random unit directions.
+    Tests <phi, g> <= H_est(phi) + EPS_MEM over the 2n signed coordinate
+    directions plus 64 random unit directions.
     Returns (member, worst_gap) with worst_gap = max of <phi, g> - H_est(phi).
     """
     u = as_point(u, prob.n)
     g = as_point(g, prob.n)
     n = prob.n
-    if directions is None:
-        directions = 2 * n + 64
-    if directions < 2 * n:
-        raise ValueError("need at least the 2n signed coordinate directions")
     eye = np.eye(n)
     phis = [e for i in range(n) for e in (eye[i], -eye[i])]
     rng = sampling.substream(cfg.seed, sampling.NS_MEMBERSHIP, 0)
-    phis += [sampling.unit_direction(rng, n) for _ in range(directions - 2 * n)]
+    phis += [sampling.unit_direction(rng, n) for _ in range(64)]
     worst_gap = -np.inf
     for phi, estimate in zip(phis, estimate_gen_dir_derivs(prob, u, phis, cfg)):
         gap = float(phi @ g) - estimate.value
         worst_gap = max(worst_gap, gap)
-    return worst_gap <= eps_mem, worst_gap
+    return worst_gap <= EPS_MEM, worst_gap

@@ -180,8 +180,25 @@ def test_analyze_error_reports_failed_stage(tmp_path, capsys):
     assert code == 2
     payload = _strict_json(out)
     assert payload["verdict"] == "error"
-    assert payload["failed_stage"] == "multiplier_recovery"
+    assert payload["failed_stage"] == "feasibility"
     assert "division by zero" in payload["message"]
+
+
+@pytest.mark.parametrize("text, at", [
+    ("dim 1\nobjective abs(x1)\neq 1 / x1\n", "0"),
+    ("dim 1\nobjective abs(x1)\nineq 1 / x1\n", "0"),
+    ("dim 1\nobjective pow(x1, 400)\n", "10"),
+])
+def test_analyze_undefined_or_non_finite_at_point_is_feasibility_error(text, at, tmp_path, capsys):
+    path = tmp_path / "undefined.prob"
+    path.write_text(text, encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code, out = run_cli(capsys, "analyze", str(path), "--at", at, "--json")
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["verdict"] == "error"
+    assert payload["failed_stage"] == "feasibility"
+    assert payload["cq"] is None and payload["certificate"] is None
 
 
 @pytest.mark.parametrize("as_json", [True, False])

@@ -9,7 +9,9 @@ import pytest
 
 from clarke_kkt import sampling
 from clarke_kkt.gendir import (
+    BASE_STEP,
     BLOCK_FLOATS,
+    DECAY,
     GenDirConfig,
     check_homogeneity,
     check_subadditivity,
@@ -85,7 +87,7 @@ def test_dominates_plain_quotient_at_base_point():
         u = np.asarray(u, dtype=float)
         phi = np.asarray(phi, dtype=float)
         est = estimate_gen_dir_deriv(prob, u, phi, cfg)
-        t = cfg.base_step * cfg.decay**cfg.levels
+        t = BASE_STEP * DECAY**cfg.levels
         d = phi / np.linalg.norm(phi)
         from clarke_kkt.problem import eval_objective
         plain = np.linalg.norm(phi) * (eval_objective(prob, u + t * d) - eval_objective(prob, u)) / t
@@ -95,10 +97,6 @@ def test_dominates_plain_quotient_at_base_point():
 def test_config_validation():
     with pytest.raises(ValueError):
         GenDirConfig(levels=1)
-    with pytest.raises(ValueError):
-        GenDirConfig(decay=1.0)
-    with pytest.raises(ValueError):
-        GenDirConfig(base_radius=0.0)
 
 
 # --- property harness -------------------------------------------------------

@@ -144,19 +144,34 @@ def test_verdict_stationary_requires_residual_bound():
     assert report.feasibility[0] <= 1e-6
 
 
+# kind: (point, message, eq_norm as written to JSON)
+FEASIBILITY_ERRORS = {
+    "equality": ([10.0], "non-finite equality constraint value at the point", None),
+    "inequality": ([10.0], "non-finite inequality constraint value at the point", 0.0),
+    "objective": ([10.0], "non-finite objective value at the point", 0.0),
+    "undefined equality": ([0.0], "division by zero during evaluation", None),
+    "undefined inequality": ([0.0], "division by zero during evaluation", None),
+    "undefined objective": ([0.0], "division by zero during evaluation", 0.0),
+}
+
+
 @pytest.mark.parametrize("text, kind", [
     ("dim 1\nobjective abs(x1)\neq pow(x1, 400) - 1", "equality"),
     ("dim 1\nobjective abs(x1)\nineq pow(x1, 400) - pow(x1, 400)", "inequality"),
+    ("dim 1\nobjective pow(x1, 400)", "objective"),
+    ("dim 1\nobjective abs(x1)\neq 1 / x1", "undefined equality"),
+    ("dim 1\nobjective abs(x1)\nineq 1 / x1", "undefined inequality"),
+    ("dim 1\nobjective 1 / x1", "undefined objective"),
 ])
 def test_verdict_error_on_non_finite_constraint_value(text, kind):
-    # pow overflows to inf at 10 (and inf - inf is nan): the point's
-    # feasibility is unknown, not infeasible
+    # pow overflows to inf at 10 (and inf - inf is nan), and 1 / x1 is
+    # undefined at 0: the point's feasibility is unknown, not infeasible
+    point, message, eq_norm = FEASIBILITY_ERRORS[kind]
     prob = parse_problem(text)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_stationarity(prob, [10.0])
+        report = verify_stationarity(prob, point)
     assert report.verdict == "error"
     assert report.failed_stage == "feasibility"
-    assert f"non-finite {kind} constraint value" in report.message
+    assert report.message == message
     assert report.cq is None and report.certificate is None
-    assert report.to_dict()["feasibility"] == {"eq_norm": None if kind == "equality" else 0.0,
-                                               "max_ineq_violation": None}
+    assert report.to_dict()["feasibility"] == {"eq_norm": eq_norm, "max_ineq_violation": None}

@@ -9,7 +9,6 @@ from clarke_kkt.problem import (
     finite_diff_gradient,
     kink_avoiding_gradient,
     kink_avoiding_gradients,
-    kink_mismatch,
     parse_problem,
     to_problem_text,
 )
@@ -133,8 +132,8 @@ def test_gradient_of_affine_equals_coefficients(h):
 def test_kink_detection_and_avoidance():
     prob = parse_problem("dim 1\nobjective abs(x1)")
     h = 1e-5
-    assert kink_mismatch(prob, [0.0], h) > 1e-3
-    assert kink_mismatch(prob, [0.5], h) < 1e-9
+    _, used = kink_avoiding_gradient(prob, [0.5], h)
+    assert used[0] == 0.5
     g, used = kink_avoiding_gradient(prob, [0.0], h)
     assert used[0] == h
     assert abs(g[0] - 1.0) < 1e-9
