@@ -16,6 +16,7 @@ from .gendir import (
     GenDirEstimate,
     PropertyReport,
     check_homogeneity,
+    check_properties,
     check_subadditivity,
     estimate_gen_dir_deriv,
     estimate_gen_dir_derivs,
@@ -53,6 +54,7 @@ __all__ = [
     "GenDirEstimate",
     "PropertyReport",
     "check_homogeneity",
+    "check_properties",
     "check_subadditivity",
     "estimate_gen_dir_deriv",
     "estimate_gen_dir_derivs",

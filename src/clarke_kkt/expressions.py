@@ -80,9 +80,16 @@ def evaluate(expr, u):
     """Evaluate expr on u of shape (..., n); returns an array of shape (...).
 
     Pure and deterministic: equal inputs give bitwise-equal outputs.
-    Raises EvaluationDomainError on division by zero.
+    Raises EvaluationDomainError on division by zero.  Overflow to inf and
+    invalid results (nan) are returned without a numpy warning; callers
+    check results for finiteness and report the cause themselves.
     """
     u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evaluate(expr, u)
+
+
+def _evaluate(expr, u):
     if isinstance(expr, Const):
         return np.full(u.shape[:-1], expr.value)
     if isinstance(expr, Var):
@@ -92,12 +99,12 @@ def evaluate(expr, u):
             )
         return u[..., expr.index - 1]
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, u)
+        return -_evaluate(expr.operand, u)
     if isinstance(expr, Abs):
-        return np.abs(evaluate(expr.operand, u))
+        return np.abs(_evaluate(expr.operand, u))
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left, u)
-        right = evaluate(expr.right, u)
+        left = _evaluate(expr.left, u)
+        right = _evaluate(expr.right, u)
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -108,11 +115,11 @@ def evaluate(expr, u):
             raise EvaluationDomainError("division by zero during evaluation")
         return left / right
     if isinstance(expr, MaxOp):
-        return np.maximum(evaluate(expr.left, u), evaluate(expr.right, u))
+        return np.maximum(_evaluate(expr.left, u), _evaluate(expr.right, u))
     if isinstance(expr, MinOp):
-        return np.minimum(evaluate(expr.left, u), evaluate(expr.right, u))
+        return np.minimum(_evaluate(expr.left, u), _evaluate(expr.right, u))
     if isinstance(expr, PowOp):
-        return evaluate(expr.base, u) ** expr.exponent
+        return _evaluate(expr.base, u) ** expr.exponent
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -104,7 +104,8 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
             for start in range(0, len(moving), block_size):
                 block = directions[start:start + block_size]
                 stepped = base[None] + steps[None, :, None] * block[:, None, :]
-                quotients = (eval_objective_batch(prob, stepped) - f_base) / steps
+                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                    quotients = (eval_objective_batch(prob, stepped) - f_base) / steps
                 if not np.all(np.isfinite(quotients)):
                     raise EstimationFailureError("non-finite difference quotient in level sampling")
                 for i, quotient_max in zip(moving[start:start + block_size], np.max(quotients, axis=1)):
@@ -116,16 +117,24 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
     ]
 
 
-def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig()) -> PropertyReport:
-    """Positive homogeneity: the estimate along lam*phi versus lam times the estimate along phi.
+def _direction_pair(phi1, phi2):
+    phi1 = np.asarray(phi1, dtype=float)
+    phi2 = np.asarray(phi2, dtype=float)
+    if phi1.shape != phi2.shape:
+        raise ValueError("direction dimensions disagree")
+    return phi1, phi2
 
-    Structural by direction normalization, so the discrepancy is pure
-    floating-point noise, bounded by 1e-12 * (1 + lam) * |estimate|.
-    """
+
+def _homogeneity_directions(phi, lambdas):
+    """phi, then lam*phi for each of the positive lambdas."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("all lambdas must be positive")
     phi = np.asarray(phi, dtype=float)
-    base, *scaled_estimates = estimate_gen_dir_derivs(prob, u, [phi] + [phi * lam for lam in lambdas], cfg)
+    return [phi] + [phi * lam for lam in lambdas]
+
+
+def _homogeneity_report(lambdas, base, scaled_estimates) -> PropertyReport:
+    """Homogeneity report from the estimates along phi and along each lam*phi."""
     worst = 0.0
     worst_tol = 0.0
     cases = []
@@ -151,19 +160,10 @@ def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig())
     return PropertyReport("homogeneity", passed, worst, worst_tol, tuple(cases))
 
 
-def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(), eps_sub=None) -> PropertyReport:
-    """Subadditivity slack of the estimate: est(phi1+phi2) - est(phi1) - est(phi2).
-
-    Exact in theory; under sampling the slack is allowed up to
-    eps_sub = 0.05 * (1 + |phi1| + |phi2|) by default.
-    """
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    if phi1.shape != phi2.shape:
-        raise ValueError("direction dimensions disagree")
+def _subadditivity_report(phi1, phi2, combined, first, second, eps_sub) -> PropertyReport:
+    """Subadditivity report from the estimates along phi1+phi2, phi1 and phi2."""
     if eps_sub is None:
         eps_sub = 0.05 * (1.0 + float(np.linalg.norm(phi1)) + float(np.linalg.norm(phi2)))
-    combined, first, second = estimate_gen_dir_derivs(prob, u, [phi1 + phi2, phi1, phi2], cfg)
     slack = combined.value - first.value - second.value
     passed = slack <= eps_sub
     case = {
@@ -175,3 +175,45 @@ def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(),
         "passed": passed,
     }
     return PropertyReport("subadditivity", passed, slack, eps_sub, (case,))
+
+
+def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig()) -> PropertyReport:
+    """Positive homogeneity: the estimate along lam*phi versus lam times the estimate along phi.
+
+    Structural by direction normalization, so the discrepancy is pure
+    floating-point noise, bounded by 1e-12 * (1 + lam) * |estimate|.
+    """
+    base, *scaled = estimate_gen_dir_derivs(prob, u, _homogeneity_directions(phi, lambdas), cfg)
+    return _homogeneity_report(lambdas, base, scaled)
+
+
+def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(), eps_sub=None) -> PropertyReport:
+    """Subadditivity slack of the estimate: est(phi1+phi2) - est(phi1) - est(phi2).
+
+    Exact in theory; under sampling the slack is allowed up to
+    eps_sub = 0.05 * (1 + |phi1| + |phi2|) by default.
+    """
+    phi1, phi2 = _direction_pair(phi1, phi2)
+    estimates = estimate_gen_dir_derivs(prob, u, [phi1 + phi2, phi1, phi2], cfg)
+    return _subadditivity_report(phi1, phi2, *estimates, eps_sub)
+
+
+def check_properties(prob, u, lambdas, pairs, cfg: GenDirConfig, eps_sub=None) -> list:
+    """check_homogeneity along each coordinate axis, then check_subadditivity
+    for each (phi1, phi2) in pairs, in that order, from one estimator call.
+
+    Every report equals the one its own check gives, since each estimate
+    depends only on the level draws and its own direction.
+    """
+    phis = [phi for axis in np.eye(prob.n) for phi in _homogeneity_directions(axis, lambdas)]
+    pairs = [_direction_pair(phi1, phi2) for phi1, phi2 in pairs]
+    phis += [phi for phi1, phi2 in pairs for phi in (phi1 + phi2, phi1, phi2)]
+    estimates = iter(estimate_gen_dir_derivs(prob, u, phis, cfg))
+    reports = []
+    for _ in range(prob.n):
+        base = next(estimates)
+        reports.append(_homogeneity_report(lambdas, base, [next(estimates) for _ in lambdas]))
+    for phi1, phi2 in pairs:
+        reports.append(_subadditivity_report(phi1, phi2, next(estimates), next(estimates),
+                                             next(estimates), eps_sub))
+    return reports

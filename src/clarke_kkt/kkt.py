@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CQIndeterminateError, ClarkeKKTError, EvaluationDomainError
+from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
 from .problem import (
     ProblemDefinition,
     as_point,
@@ -121,9 +121,13 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     The Slater direction solves the LP: find phi with |phi|_inf <= SLATER_BOX_BOUND,
     J1 phi = 0 and (J2 phi)_i <= -1 on the active set, by projected-gradient
     feasibility minimization.  Empty active set makes the check vacuous.
+    A non-finite Jacobian entry (a constraint whose stencil overflows) raises
+    EstimationFailureError.
     """
     u0 = as_point(u0, prob.n)
     J1, J2 = jacobians(prob, u0)
+    if not (np.all(np.isfinite(J1)) and np.all(np.isfinite(J2))):
+        raise EstimationFailureError("non-finite constraint Jacobian at the point")
     if prob.m > 0:
         svals = np.linalg.svd(J1, compute_uv=False)
         smax = float(svals[0]) if svals.size else 0.0

@@ -170,8 +170,13 @@ def _stencil(points, h, n):
 
 
 def _central_difference(values, h, n):
-    """Gradients from the objective's values on _stencil(points, h, n)."""
-    return (values[..., :n] - values[..., n:]) / (2.0 * h)
+    """Gradients from the objective's values on _stencil(points, h, n).
+
+    Overflow gives inf or nan without a numpy warning; callers check the
+    gradients for finiteness.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values[..., :n] - values[..., n:]) / (2.0 * h)
 
 
 def _kink_stencil(points, h, n):
@@ -187,9 +192,10 @@ def _kink_mismatches(values, h, n):
     """Per row, max over coordinates of |forward - backward quotient|, from
     the objective's values on _kink_stencil(points, h, n)."""
     f0 = values[:, :1]
-    fwd = (values[:, 1:n + 1] - f0) / h
-    bwd = (f0 - values[:, n + 1:]) / h
-    return np.max(np.abs(fwd - bwd), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the gradients
+        fwd = (values[:, 1:n + 1] - f0) / h
+        bwd = (f0 - values[:, n + 1:]) / h
+        return np.max(np.abs(fwd - bwd), axis=1)
 
 
 def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:

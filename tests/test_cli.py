@@ -1,11 +1,17 @@
 """CLI commands, exit codes, and report schema."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import clarke_kkt
 from clarke_kkt import cli
 from clarke_kkt.problem import parse_problem
+from clarke_kkt.suite import registry
 
 P3_TEXT = "name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n"
 
@@ -192,8 +198,7 @@ def test_analyze_error_reports_failed_stage(tmp_path, capsys):
 def test_analyze_undefined_or_non_finite_at_point_is_feasibility_error(text, at, tmp_path, capsys):
     path = tmp_path / "undefined.prob"
     path.write_text(text, encoding="utf-8")
-    with np.errstate(over="ignore"):
-        code, out = run_cli(capsys, "analyze", str(path), "--at", at, "--json")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", at, "--json")
     assert code == 2
     payload = _strict_json(out)
     assert payload["verdict"] == "error"
@@ -206,8 +211,7 @@ def test_analyze_non_finite_constraint_is_feasibility_error(as_json, tmp_path, c
     path = tmp_path / "overflow.prob"
     path.write_text("dim 1\nobjective abs(x1)\neq pow(x1, 400) - 1\n", encoding="utf-8")
     argv = ["analyze", str(path), "--at", "10"] + (["--json"] if as_json else [])
-    with np.errstate(over="ignore"):
-        code, out = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv)
     assert code == 2
     if as_json:
         payload = _strict_json(out)
@@ -260,7 +264,102 @@ def test_analyze_non_finite_report_is_input_error(tmp_path, capsys):
     # pow overflows to inf: a feasibility-stage error, its norm written as null
     path = tmp_path / "overflow.prob"
     path.write_text("dim 1\nobjective abs(x1)\neq pow(x1, 400)\n", encoding="utf-8")
-    with np.errstate(over="ignore"):
-        code, out = run_cli(capsys, "analyze", str(path), "--at", "10", "--json")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "10", "--json")
     assert code == 2
     assert _strict_json(out)["failed_stage"] == "feasibility"
+
+
+def test_analyze_non_finite_jacobian_is_cq_stage_error(tmp_path, capsys):
+    # finite at the point, but the stencil of x2**2 overflows: J2 = [[0, inf]]
+    path = tmp_path / "jacobian.prob"
+    path.write_text("dim 2\nobjective abs(x1)\nineq pow(x2, 2) - 1.7976931348623157e308\n",
+                    encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0,1.3407807929942596e154", "--json")
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["verdict"] == "error"
+    assert payload["failed_stage"] == "constraint_qualification"
+    assert payload["message"] == "non-finite constraint Jacobian at the point"
+    assert payload["cq"] is None and payload["certificate"] is None
+
+
+@pytest.mark.parametrize("command, at, code, message", [
+    # pow overflows at the point, near it, and in the estimator's stepped points
+    ("analyze", "10", 2, "feasibility: non-finite objective value at the point"),
+    ("analyze", "5.868", 2, "multiplier_recovery: non-finite sampled gradient"),
+    ("check-properties", "10", 2, None),
+])
+def test_overflow_leaves_stderr_empty(command, at, code, message, tmp_path, capsys):
+    path = tmp_path / "overflow.prob"
+    path.write_text("dim 1\nobjective pow(x1, 400)\n", encoding="utf-8")
+    assert cli.main([command, str(path), "--at", at]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.out == ""
+        assert captured.err == "error: non-finite difference quotient in level sampling\n"
+    else:
+        assert f"failed at : {message}\n" in captured.out
+        assert captured.out.endswith("verdict   : error\n")
+        assert captured.err == ""
+
+
+# sha256 of `check-properties --json --seed 42`, without `timings`, at each
+# suite minimizer, as written when every check made its own estimator call
+PROPERTIES_SHA256 = {
+    "P1": "f4ced208a13acbafbaf2dbaf640989e72daadc07bb53925bd4c864c5013727dd",
+    "P2": "73e9a473988ff93554e19ee664f7b3558bb4b6306f1e600cf7d1818fee6e3e67",
+    "P3": "33941f589100b9ce249e81ba11f1c97aa136d2e9776c7545e2e9e41db14eeeb1",
+    "P4": "dfd5109d063dec6e513a5355b4904f6c794248d6baec0ef5b28a0809b6525c7a",
+    "P5": "897707baa670d8e958271346784de05edf65666e6ec0f4e0dfa9d28921a6b752",
+}
+
+
+@pytest.mark.parametrize("entry", registry(), ids=lambda entry: entry.name)
+def test_check_properties_json_is_pinned(entry, tmp_path, capsys):
+    path = tmp_path / f"{entry.name}.prob"
+    path.write_text(entry.problem_text, encoding="utf-8")
+    at = ",".join(repr(v) for v in entry.minimizer)
+    code, out = run_cli(capsys, "check-properties", str(path), f"--at={at}", "--seed", "42", "--json")
+    assert code == 0
+    payload = _strict_json(out)
+    payload.pop("timings")
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == PROPERTIES_SHA256[entry.name]
+
+
+def test_check_properties_division_by_zero_exit_two(tmp_path, capsys):
+    path = tmp_path / "inv.prob"
+    path.write_text("dim 1\nobjective 1 / x1\n", encoding="utf-8")
+    code, out = run_cli(capsys, "check-properties", str(path), "--at", "0", "--json")
+    assert code == 2
+    assert out == ""
+
+
+def _without_timings(out):
+    if not out.startswith("{"):
+        return out
+    payload = json.loads(out)
+    payload.pop("timings")
+    return payload
+
+
+def test_commands_in_one_process_match_fresh_processes(p3_file, capsys):
+    # the parser is built once per process and reused by every main() call
+    runs = [
+        ["analyze", p3_file, "--at", "0,1", "--json"],
+        ["analyze", p3_file, "--at", "0,0", "--levels", "3"],
+        ["check-properties", p3_file, "--at", "0,0", "--json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(clarke_kkt.__file__).parents[1]))
+    codes = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "clarke_kkt.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, _without_timings(captured.out), captured.err) == (
+            fresh.returncode, _without_timings(fresh.stdout), fresh.stderr)
+        codes.append(code)
+    assert codes == [3, 2, 0]

@@ -14,6 +14,7 @@ from clarke_kkt.gendir import (
     DECAY,
     GenDirConfig,
     check_homogeneity,
+    check_properties,
     check_subadditivity,
     estimate_gen_dir_deriv,
     estimate_gen_dir_derivs,
@@ -198,3 +199,34 @@ def test_membership_equals_single_direction_gaps_in_any_order():
     for order in (range(count), reversed(range(count)), np.random.default_rng(1).permutation(count)):
         worst = max(gaps[i] for i in order)
         assert membership_test(prob, u, g, cfg) == (worst <= 0.05, worst)
+
+
+P2 = parse_problem("dim 2\nobjective max(x1, x2)\neq x1 + x2")
+
+
+@pytest.mark.parametrize("prob, u, eps_sub", [
+    (P2, np.zeros(2), None),
+    (P2, np.array([0.3, -0.1]), 0.001),
+    (A20, np.full(20, 0.01), None),  # 124 directions, 8 per block
+], ids=["P2", "P2-shifted", "A20"])
+def test_check_properties_equals_one_check_at_a_time(prob, u, eps_sub):
+    cfg = GenDirConfig(seed=5)
+    lambdas = (0.5, 1.0, 2.0, 10.0)
+    rng = np.random.default_rng(2)
+    pairs = [(rng.standard_normal(prob.n), rng.standard_normal(prob.n)) for _ in range(7)]
+    pairs.append((np.ones(prob.n), -np.ones(prob.n)))  # a zero combined direction
+    expected = [check_homogeneity(prob, u, axis, lambdas, cfg) for axis in np.eye(prob.n)]
+    expected += [check_subadditivity(prob, u, phi1, phi2, cfg, eps_sub) for phi1, phi2 in pairs]
+    assert check_properties(prob, u, lambdas, pairs, cfg, eps_sub) == expected
+
+
+DIV0 = parse_problem("dim 1\nobjective 1 / x1")  # any evaluation at 0 raises
+
+
+@pytest.mark.parametrize("lambdas, pairs", [
+    ((1.0, 0.0), []),
+    ((1.0,), [([1.0], [1.0, 0.0])]),
+])
+def test_check_properties_rejects_bad_input_before_evaluating(lambdas, pairs):
+    with pytest.raises(ValueError):
+        check_properties(DIV0, [0.0], lambdas, pairs, GenDirConfig())

@@ -168,10 +168,21 @@ def test_verdict_error_on_non_finite_constraint_value(text, kind):
     # undefined at 0: the point's feasibility is unknown, not infeasible
     point, message, eq_norm = FEASIBILITY_ERRORS[kind]
     prob = parse_problem(text)
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_stationarity(prob, point)
+    report = verify_stationarity(prob, point)
     assert report.verdict == "error"
     assert report.failed_stage == "feasibility"
     assert report.message == message
     assert report.cq is None and report.certificate is None
     assert report.to_dict()["feasibility"] == {"eq_norm": eq_norm, "max_ineq_violation": None}
+
+
+def test_non_finite_jacobian_is_cq_stage_error():
+    # finite at the point, but the stencil of x2**2 overflows: J2 = [[0, inf]]
+    prob = parse_problem("dim 2\nobjective abs(x1)\nineq pow(x2, 2) - 1.7976931348623157e308")
+    point = [0.0, 1.3407807929942596e154]
+    assert not np.all(np.isfinite(jacobians(prob, point)[1]))
+    report = verify_stationarity(prob, point)
+    assert report.verdict == "error"
+    assert report.failed_stage == "constraint_qualification"
+    assert report.message == "non-finite constraint Jacobian at the point"
+    assert report.cq is None and report.certificate is None
