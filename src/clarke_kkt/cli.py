@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, sampling
+from . import __version__
 from .errors import ClarkeKKTError, ProblemParseError
 from .gendir import GenDirConfig, check_properties
 from .kkt import DEFAULT_ACTIVE_TOL, DEFAULT_EPS_STAT, verify_stationarity
@@ -59,8 +59,6 @@ _VERDICT_EXIT = {
     "error": EXIT_INPUT_ERROR,
 }
 
-HOMOGENEITY_LAMBDAS = (0.5, 1.0, 2.0, 10.0)
-SUBADDITIVITY_PAIRS = 20
 SEED_ENV = "CLARKE_KKT_SEED"
 
 
@@ -262,11 +260,7 @@ def cmd_check_properties(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     start = time.perf_counter()
-    rng = sampling.substream(args.seed, sampling.NS_PROPERTIES, 0)
-    pairs = [(rng.standard_normal(prob.n), rng.standard_normal(prob.n))
-             for _ in range(SUBADDITIVITY_PAIRS)]
-    reports = check_properties(prob, point, HOMOGENEITY_LAMBDAS, pairs, gendir_cfg,
-                               eps_sub=args.eps_sub)
+    reports = check_properties(prob, point, gendir_cfg, args.eps_sub)
     elapsed = time.perf_counter() - start
     all_ok = all(r.passed for r in reports)
     if args.as_json:

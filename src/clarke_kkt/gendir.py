@@ -21,6 +21,9 @@ from .problem import BLOCK_FLOATS, ProblemDefinition, as_point, eval_objective_b
 BASE_RADIUS = 0.1
 BASE_STEP = 0.1
 DECAY = 0.5
+# what one check_properties call checks
+HOMOGENEITY_LAMBDAS = (0.5, 1.0, 2.0, 10.0)
+SUBADDITIVITY_PAIRS = 20
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,9 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
             for start in range(0, len(moving), block_size):
                 block = directions[start:start + block_size]
                 stepped = base[None] + steps[None, :, None] * block[:, None, :]
+                values = eval_objective_batch(prob, stepped)
                 with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                    quotients = (eval_objective_batch(prob, stepped) - f_base) / steps
+                    quotients = (values - f_base) / steps
                 if not np.all(np.isfinite(quotients)):
                     raise EstimationFailureError("non-finite difference quotient in level sampling")
                 for i, quotient_max in zip(moving[start:start + block_size], np.max(quotients, axis=1)):
@@ -198,21 +202,27 @@ def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(),
     return _subadditivity_report(phi1, phi2, *estimates, eps_sub)
 
 
-def check_properties(prob, u, lambdas, pairs, cfg: GenDirConfig, eps_sub=None) -> list:
-    """check_homogeneity along each coordinate axis, then check_subadditivity
-    for each (phi1, phi2) in pairs, in that order, from one estimator call.
+def check_properties(prob, u, cfg: GenDirConfig, eps_sub) -> list:
+    """check_homogeneity along each coordinate axis with HOMOGENEITY_LAMBDAS, then
+    check_subadditivity for SUBADDITIVITY_PAIRS pairs of standard normal
+    directions (phi1 then phi2, from the NS_PROPERTIES substream of cfg.seed),
+    in that order, from one estimator call.  eps_sub as in check_subadditivity;
+    None is its default tolerance.
 
     Every report equals the one its own check gives, since each estimate
     depends only on the level draws and its own direction.
     """
-    phis = [phi for axis in np.eye(prob.n) for phi in _homogeneity_directions(axis, lambdas)]
-    pairs = [_direction_pair(phi1, phi2) for phi1, phi2 in pairs]
+    rng = sampling.substream(cfg.seed, sampling.NS_PROPERTIES, 0)
+    pairs = [(rng.standard_normal(prob.n), rng.standard_normal(prob.n))
+             for _ in range(SUBADDITIVITY_PAIRS)]
+    phis = [phi for axis in np.eye(prob.n) for phi in _homogeneity_directions(axis, HOMOGENEITY_LAMBDAS)]
     phis += [phi for phi1, phi2 in pairs for phi in (phi1 + phi2, phi1, phi2)]
     estimates = iter(estimate_gen_dir_derivs(prob, u, phis, cfg))
     reports = []
     for _ in range(prob.n):
         base = next(estimates)
-        reports.append(_homogeneity_report(lambdas, base, [next(estimates) for _ in lambdas]))
+        reports.append(_homogeneity_report(HOMOGENEITY_LAMBDAS, base,
+                                           [next(estimates) for _ in HOMOGENEITY_LAMBDAS]))
     for phi1, phi2 in pairs:
         reports.append(_subadditivity_report(phi1, phi2, next(estimates), next(estimates),
                                              next(estimates), eps_sub))

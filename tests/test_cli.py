@@ -1,14 +1,9 @@
 """CLI commands, exit codes, and report schema."""
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import clarke_kkt
 from clarke_kkt import cli
 from clarke_kkt.problem import parse_problem
 from clarke_kkt.suite import registry
@@ -342,24 +337,26 @@ def _without_timings(out):
     return payload
 
 
-def test_commands_in_one_process_match_fresh_processes(p3_file, capsys):
-    # the parser is built once per process and reused by every main() call
+def test_reused_parser_gives_the_outputs_of_a_new_one(p3_file, capsys):
     runs = [
         ["analyze", p3_file, "--at", "0,1", "--json"],
         ["analyze", p3_file, "--at", "0,0", "--levels", "3"],
         ["check-properties", p3_file, "--at", "0,0", "--json"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(clarke_kkt.__file__).parents[1]))
-    codes = []
-    for argv in runs:
+
+    def run(argv):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "clarke_kkt.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=60)
-        assert (code, _without_timings(captured.out), captured.err) == (
-            fresh.returncode, _without_timings(fresh.stdout), fresh.stderr)
-        codes.append(code)
-    assert codes == [3, 2, 0]
+        return code, _without_timings(captured.out), captured.err
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = [run(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [3, 2, 0]

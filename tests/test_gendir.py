@@ -12,6 +12,8 @@ from clarke_kkt.gendir import (
     BASE_STEP,
     BLOCK_FLOATS,
     DECAY,
+    HOMOGENEITY_LAMBDAS,
+    SUBADDITIVITY_PAIRS,
     GenDirConfig,
     check_homogeneity,
     check_properties,
@@ -207,26 +209,24 @@ P2 = parse_problem("dim 2\nobjective max(x1, x2)\neq x1 + x2")
 @pytest.mark.parametrize("prob, u, eps_sub", [
     (P2, np.zeros(2), None),
     (P2, np.array([0.3, -0.1]), 0.001),
-    (A20, np.full(20, 0.01), None),  # 124 directions, 8 per block
+    (A20, np.full(20, 0.01), None),  # 160 directions, 8 per block
 ], ids=["P2", "P2-shifted", "A20"])
 def test_check_properties_equals_one_check_at_a_time(prob, u, eps_sub):
     cfg = GenDirConfig(seed=5)
-    lambdas = (0.5, 1.0, 2.0, 10.0)
-    rng = np.random.default_rng(2)
-    pairs = [(rng.standard_normal(prob.n), rng.standard_normal(prob.n)) for _ in range(7)]
-    pairs.append((np.ones(prob.n), -np.ones(prob.n)))  # a zero combined direction
-    expected = [check_homogeneity(prob, u, axis, lambdas, cfg) for axis in np.eye(prob.n)]
-    expected += [check_subadditivity(prob, u, phi1, phi2, cfg, eps_sub) for phi1, phi2 in pairs]
-    assert check_properties(prob, u, lambdas, pairs, cfg, eps_sub) == expected
+    rng = sampling.substream(cfg.seed, sampling.NS_PROPERTIES, 0)
+    expected = [check_homogeneity(prob, u, axis, HOMOGENEITY_LAMBDAS, cfg) for axis in np.eye(prob.n)]
+    for _ in range(SUBADDITIVITY_PAIRS):
+        phi1 = rng.standard_normal(prob.n)
+        phi2 = rng.standard_normal(prob.n)
+        expected.append(check_subadditivity(prob, u, phi1, phi2, cfg, eps_sub))
+    assert check_properties(prob, u, cfg, eps_sub) == expected
 
 
 DIV0 = parse_problem("dim 1\nobjective 1 / x1")  # any evaluation at 0 raises
 
 
-@pytest.mark.parametrize("lambdas, pairs", [
-    ((1.0, 0.0), []),
-    ((1.0,), [([1.0], [1.0, 0.0])]),
-])
-def test_check_properties_rejects_bad_input_before_evaluating(lambdas, pairs):
+def test_checks_reject_bad_input_before_evaluating():
     with pytest.raises(ValueError):
-        check_properties(DIV0, [0.0], lambdas, pairs, GenDirConfig())
+        check_homogeneity(DIV0, [0.0], [1.0], (1.0, 0.0))
+    with pytest.raises(ValueError):
+        check_subadditivity(DIV0, [0.0], [1.0], [1.0, 0.0])
