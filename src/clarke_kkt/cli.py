@@ -9,7 +9,8 @@ Commands and the options each one reads (all take --json):
                                     --seed --levels --samples --eps-sub
 
 Without --seed the seed comes from $CLARKE_KKT_SEED, else 42.  A command
-rejects an option it does not read, float options must be finite, and
+rejects an option it does not read, float options must be finite,
+--eps-stat, --active-tol and --eps-sub must be nonnegative, and
 --sd-radius and --sd-count must be positive.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
@@ -79,6 +80,13 @@ def _positive_float(text):
     return value
 
 
+def _nonnegative_float(text):
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative number: {text!r}")
+    return value
+
+
 def _positive_int(text):
     try:
         value = int(text)
@@ -95,9 +103,9 @@ OPTIONS = {
                  help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
     "levels": dict(type=int, default=GenDirConfig.levels),
     "samples": dict(type=int, default=GenDirConfig.samples_per_level),
-    "eps_stat": dict(type=_finite_float, default=DEFAULT_EPS_STAT),
-    "active_tol": dict(type=_finite_float, default=DEFAULT_ACTIVE_TOL),
-    "eps_sub": dict(type=_finite_float, default=None),
+    "eps_stat": dict(type=_nonnegative_float, default=DEFAULT_EPS_STAT),
+    "active_tol": dict(type=_nonnegative_float, default=DEFAULT_ACTIVE_TOL),
+    "eps_sub": dict(type=_nonnegative_float, default=None),
     "sd_radius": dict(type=_positive_float, default=None),
     "sd_count": dict(type=_positive_int, default=None),
 }

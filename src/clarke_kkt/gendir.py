@@ -169,16 +169,20 @@ def _subadditivity_report(phi1, phi2, combined, first, second, eps_sub) -> Prope
     if eps_sub is None:
         eps_sub = 0.05 * (1.0 + float(np.linalg.norm(phi1)) + float(np.linalg.norm(phi2)))
     slack = combined.value - first.value - second.value
-    passed = slack <= eps_sub
+    # the slack differences three rounded estimates, so it carries their rounding error
+    rounding = 4 * float(np.finfo(float).eps) * (abs(combined.value) + abs(first.value)
+                                                 + abs(second.value))
+    tolerance = max(eps_sub, rounding)
+    passed = slack <= tolerance
     case = {
         "combined": combined.value,
         "first": first.value,
         "second": second.value,
         "slack": slack,
-        "tolerance": eps_sub,
+        "tolerance": tolerance,
         "passed": passed,
     }
-    return PropertyReport("subadditivity", passed, slack, eps_sub, (case,))
+    return PropertyReport("subadditivity", passed, slack, tolerance, (case,))
 
 
 def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig()) -> PropertyReport:
@@ -195,7 +199,10 @@ def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(),
     """Subadditivity slack of the estimate: est(phi1+phi2) - est(phi1) - est(phi2).
 
     Exact in theory; under sampling the slack is allowed up to
-    eps_sub = 0.05 * (1 + |phi1| + |phi2|) by default.
+    eps_sub = 0.05 * (1 + |phi1| + |phi2|) by default.  The tolerance never
+    drops below the rounding floor 4 * machine eps * (|est(phi1+phi2)| +
+    |est(phi1)| + |est(phi2)|), so that a steep objective does not fail on
+    rounding alone; the report's tolerance is the larger of the two.
     """
     phi1, phi2 = _direction_pair(phi1, phi2)
     estimates = estimate_gen_dir_derivs(prob, u, [phi1 + phi2, phi1, phi2], cfg)

@@ -5,12 +5,22 @@ simplex x free x nonnegative blocks, and a box-constrained feasibility
 program whose optimum decides existence of a strictly feasible direction.
 Both are convex with Lipschitz gradients; constant step 1/L with L from
 power iteration guarantees a non-increasing objective.
+
+Both loops run on buffers allocated once per call and write every
+intermediate through ``out=``. Each floating-point operation keeps the order
+and the operands of the plain step ``x <- project(x - step * (H @ x))``, so
+the iterates, and with them every verdict and certificate, are bitwise equal
+to that step's; ``tests/test_solver.py`` pins this against a reference copy
+of the plain loops.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import EstimationFailureError
 
 SLATER_BOX_BOUND = 1e3
 
@@ -44,11 +54,11 @@ def spectral_upper_step(H) -> float:
     d = H.shape[0]
     # fixed pseudo-random start: almost surely not orthogonal to the top eigenspace
     v = np.random.default_rng(0).standard_normal(d)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     lam = 0.0
     for _ in range(100):
         w = H @ v
-        nrm = float(np.linalg.norm(w))
+        nrm = math.sqrt(w.dot(w))
         if nrm == 0.0:
             return 0.0
         lam = nrm
@@ -72,31 +82,52 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
     J2a = np.zeros((0, n)) if J2_active is None else np.asarray(J2_active, dtype=float).reshape(-1, n)
     m, a = J1.shape[0], J2a.shape[0]
     A = np.hstack([G, J1.T, J2a.T])
-
-    def project(x):
-        out = x.copy()
-        out[:k] = project_simplex(out[:k])
-        out[k + m:] = np.maximum(out[k + m:], 0.0)
-        return out
-
     x = np.zeros(k + m + a)
     x[:k] = 1.0 / k
-    H = 2.0 * (A.T @ A)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        H = 2.0 * (A.T @ A)
+    if not np.all(np.isfinite(H)):
+        raise EstimationFailureError("multiplier least-squares matrix is not finite")
     step = spectral_upper_step(H)
     if step == 0.0:
         # zero quadratic: any feasible point is optimal
-        x = project(x)
+        x[:k] = project_simplex(x[:k])
         residual = float(np.linalg.norm(A @ x))
         return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, True, 0)
 
+    # The body is project_simplex and max(., 0) applied to x - step * (H @ x),
+    # operation for operation, on these buffers, so that the iterates equal the
+    # plain loop's bit for bit (the oracle test in tests/test_solver.py).
+    # np.dot with out= runs the same BLAS matrix-vector product as `@`, and
+    # desc > crit is project_simplex's desc - crit > 0: with gradual underflow
+    # a rounded difference is positive exactly when its operands are ordered.
+    x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    srt, css, crit = np.empty(k), np.empty(k), np.empty(k)
+    cond = np.empty(k, dtype=bool)
+    ranks = np.arange(1.0, k + 1)
+    desc, cond_rev = srt[::-1], cond[::-1]
     converged = False
     iterations = 0
     prev_obj = np.inf
     for it in range(1, iter_cap + 1):
-        grad = H @ x
-        x_new = project(x - step * grad)
-        pg_norm = float(np.linalg.norm(x - x_new)) / step
-        x = x_new
+        np.dot(H, x, out=grad)
+        np.multiply(step, grad, out=x_new)
+        np.subtract(x, x_new, out=x_new)
+        lam = x_new[:k]
+        srt[:] = lam
+        srt.sort()
+        np.add.accumulate(desc, out=css)
+        np.subtract(css, 1.0, out=css)
+        np.divide(css, ranks, out=crit)
+        np.greater(desc, crit, out=cond)
+        rho = k - int(cond_rev.argmax())  # the last True, idx[cond][-1] in project_simplex
+        np.subtract(lam, css[rho - 1] / rho, out=lam)
+        np.maximum(lam, 0.0, out=lam)
+        if a:
+            np.maximum(x_new[k + m:], 0.0, out=x_new[k + m:])
+        np.subtract(x, x_new, out=diff)
+        pg_norm = math.sqrt(diff.dot(diff)) / step
+        x, x_new = x_new, x
         iterations = it
         if it % 100 == 0:
             obj = float(x @ (H @ x)) / 2.0
@@ -125,14 +156,24 @@ def slater_direction(J1, J2_active, bound=SLATER_BOX_BOUND, iter_cap=50000, tol=
     step = spectral_upper_step(H)
     if step == 0.0:
         return np.zeros(n), True
-    phi = np.zeros(n)
+    phi, phi_new, diff = np.zeros(n), np.empty(n), np.empty(n)
+    grad, grad_ineq = np.empty(n), np.empty(n)
+    eq_res, hinge = np.empty(J1.shape[0]), np.empty(a)
     for _ in range(iter_cap):
-        eq_res = J1 @ phi
-        hinge = np.maximum(0.0, J2a @ phi + 1.0)
-        grad = 2.0 * (J1.T @ eq_res + J2a.T @ hinge)
-        phi_new = np.clip(phi - step * grad, -bound, bound)
-        pg_norm = float(np.linalg.norm(phi - phi_new)) / step
-        phi = phi_new
+        np.dot(J1, phi, out=eq_res)
+        np.dot(J2a, phi, out=hinge)
+        np.add(hinge, 1.0, out=hinge)
+        np.maximum(0.0, hinge, out=hinge)
+        np.dot(J1.T, eq_res, out=grad)
+        np.dot(J2a.T, hinge, out=grad_ineq)
+        np.add(grad, grad_ineq, out=grad)
+        np.multiply(2.0, grad, out=grad)
+        np.multiply(step, grad, out=grad)
+        np.subtract(phi, grad, out=phi_new)
+        np.clip(phi_new, -bound, bound, out=phi_new)
+        np.subtract(phi, phi_new, out=diff)
+        pg_norm = math.sqrt(diff.dot(diff)) / step
+        phi, phi_new = phi_new, phi
         if pg_norm <= tol:
             return phi, True
     return phi, False

@@ -125,6 +125,27 @@ def test_check_properties_smooth_p4(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_properties_steep_objective_passes_on_rounding(tmp_path, capsys):
+    # estimates up to about 1e94: rounding alone puts the slack far above eps_sub
+    path = tmp_path / "steep.prob"
+    path.write_text("dim 1\nobjective pow(x1, 400)\n", encoding="utf-8")
+    code, out = run_cli(capsys, "check-properties", str(path), "--at", "1.7", "--seed", "42", "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["name"] for r in reports].count("subadditivity") == 20
+    assert all(r["passed"] for r in reports)
+
+
+def test_analyze_overflowing_multiplier_solve_is_error(tmp_path, capsys):
+    # sampled gradients near 1e161 are finite, but their squares are not
+    path = tmp_path / "steep.prob"
+    path.write_text("dim 1\nobjective pow(x1, 400)\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "2.5", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["failed_stage"]) == ("error", "multiplier_recovery")
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not RFC 8259 JSON")
@@ -158,6 +179,11 @@ def test_json_is_strict_and_config_echoes_own_options(argv, config, tmp_path, ca
     ("analyze", "{p3}", "--at", "0,0", "--eps-stat", "nan"),
     ("suite", "--active-tol=-inf"),
     ("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "inf"),
+    # a negative tolerance
+    ("analyze", "{p3}", "--at", "0,0", "--eps-stat", "-1"),
+    ("analyze", "{p3}", "--at", "0,0", "--active-tol", "-1"),
+    ("suite", "--eps-stat=-1e-3"),
+    ("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "-1"),
 ])
 def test_option_rejected_at_parse_time(argv, p3_file):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clarke_kkt.solver import project_simplex, slater_direction, solve_structured_ls
+from clarke_kkt.errors import EstimationFailureError
+from clarke_kkt.solver import (
+    SLATER_BOX_BOUND,
+    StructuredLSResult,
+    project_simplex,
+    slater_direction,
+    solve_structured_ls,
+)
 
 
 # --- simplex projection -----------------------------------------------------
@@ -134,6 +141,13 @@ def test_iteration_cap_reports_nonconvergence():
     assert not result.converged
 
 
+@pytest.mark.parametrize("G", [np.array([[np.nan, 1.0]]), np.array([[1e200, 1.0]])])
+def test_non_finite_data_is_rejected(G):
+    # 1e200 is finite, but its square in the normal matrix is not
+    with pytest.raises(EstimationFailureError):
+        solve_structured_ls(G)
+
+
 # --- Slater direction -------------------------------------------------------
 
 def test_slater_single_active_inequality():
@@ -163,3 +177,106 @@ def test_slater_empty_active_set():
     phi, converged = slater_direction(np.array([[1.0, 0.0]]), np.zeros((0, 2)))
     assert converged
     np.testing.assert_array_equal(phi, np.zeros(2))
+
+
+# --- bitwise oracle: the plain projected-gradient loops ----------------------
+# solve_structured_ls and slater_direction run on preallocated buffers; these
+# unbuffered loops are the reference their iterates must equal bit for bit.
+
+def _reference_upper_step(H):
+    v = np.random.default_rng(0).standard_normal(H.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(100):
+        w = H @ v
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            return 0.0
+        lam = nrm
+        v = w / nrm
+    return 1.0 / lam
+
+
+def _reference_structured_ls(G, J1, J2a, iter_cap, tol):
+    n, k = G.shape
+    J1 = np.zeros((0, n)) if J1 is None else J1
+    J2a = np.zeros((0, n)) if J2a is None else J2a
+    m = J1.shape[0]
+    A = np.hstack([G, J1.T, J2a.T])
+
+    def project(x):
+        out = x.copy()
+        out[:k] = project_simplex(out[:k])
+        out[k + m:] = np.maximum(out[k + m:], 0.0)
+        return out
+
+    x = np.zeros(A.shape[1])
+    x[:k] = 1.0 / k
+    H = 2.0 * (A.T @ A)
+    step = _reference_upper_step(H)
+    if step == 0.0:
+        x = project(x)
+        return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], float(np.linalg.norm(A @ x)), True, 0)
+    converged, iterations = False, 0
+    for it in range(1, iter_cap + 1):
+        x_new = project(x - step * (H @ x))
+        pg_norm = float(np.linalg.norm(x - x_new)) / step
+        x = x_new
+        iterations = it
+        if pg_norm <= tol:
+            converged = True
+            break
+    return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], float(np.linalg.norm(A @ x)),
+                              converged, iterations)
+
+
+def _reference_slater(J1, J2a, iter_cap):
+    n = J2a.shape[1]
+    J1 = np.zeros((0, n)) if J1 is None else J1
+    step = _reference_upper_step(2.0 * (J1.T @ J1 + J2a.T @ J2a))
+    if step == 0.0:
+        return np.zeros(n), True
+    phi = np.zeros(n)
+    for _ in range(iter_cap):
+        eq_res = J1 @ phi
+        hinge = np.maximum(0.0, J2a @ phi + 1.0)
+        grad = 2.0 * (J1.T @ eq_res + J2a.T @ hinge)
+        phi_new = np.clip(phi - step * grad, -SLATER_BOX_BOUND, SLATER_BOX_BOUND)
+        pg_norm = float(np.linalg.norm(phi - phi_new)) / step
+        phi = phi_new
+        if pg_norm <= 1e-12:
+            return phi, True
+    return phi, False
+
+
+def _assert_bitwise_equal(result, reference):
+    for field in ("lam", "z1", "z2_active"):
+        assert np.array_equal(getattr(result, field), getattr(reference, field)), field
+    assert result.residual == reference.residual
+    assert result.iterations == reference.iterations
+    assert result.converged == reference.converged
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2), st.integers(0, 3),
+       st.integers(1, 400), st.sampled_from([1e-10, 1e-6, 1e-3]), st.integers(0, 2**32 - 1))
+def test_buffered_loops_match_reference_bitwise(n, k, m, a, iter_cap, tol, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, k))
+    J1 = rng.normal(size=(m, n)) if m else None
+    J2a = rng.normal(size=(a, n)) if a else None
+    result = solve_structured_ls(G, J1=J1, J2_active=J2a, iter_cap=iter_cap, tol=tol)
+    _assert_bitwise_equal(result, _reference_structured_ls(G, J1, J2a, iter_cap, tol))
+    if a:
+        phi, converged = slater_direction(J1, J2a, iter_cap=iter_cap)
+        ref_phi, ref_converged = _reference_slater(J1, J2a, iter_cap)
+        assert np.array_equal(phi, ref_phi)
+        assert converged == ref_converged
+
+
+def test_buffered_loop_matches_reference_at_scale():
+    # the shape of a Q50 verify: 130 sampled gradients in R^50, one equality
+    rng = np.random.default_rng(50)
+    G, J1 = rng.normal(size=(50, 130)), rng.normal(size=(1, 50))
+    result = solve_structured_ls(G, J1=J1, iter_cap=2000)
+    _assert_bitwise_equal(result, _reference_structured_ls(G, J1, None, 2000, 1e-10))
