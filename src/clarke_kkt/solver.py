@@ -95,12 +95,10 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
         residual = float(np.linalg.norm(A @ x))
         return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, True, 0)
 
-    # The body is project_simplex and max(., 0) applied to x - step * (H @ x),
-    # operation for operation, on these buffers, so that the iterates equal the
-    # plain loop's bit for bit (the oracle test in tests/test_solver.py).
-    # np.dot with out= runs the same BLAS matrix-vector product as `@`, and
-    # desc > crit is project_simplex's desc - crit > 0: with gradual underflow
-    # a rounded difference is positive exactly when its operands are ordered.
+    # project_simplex and max(., 0) on x - step * (H @ x), one operation per
+    # line on these buffers, so the iterates equal the plain loop's bit for bit
+    # (oracle test in tests/test_solver.py). np.dot runs the same BLAS product
+    # as `@`; desc > crit has the truth value of desc - crit > 0 (gradual underflow).
     x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     srt, css, crit = np.empty(k), np.empty(k), np.empty(k)
     cond = np.empty(k, dtype=bool)
