@@ -20,6 +20,12 @@ non-finite at the point).
 JSON output is strict RFC 8259 JSON, schema-stable and byte-reproducible
 for a fixed seed, except for the timings field; its `config` echoes the
 command's own options.
+
+A certificate's `residual` is the smallest multiplier residual the solver
+found, an upper bound on the true minimum over the sampled hull.  Its
+`residual_lower_bound` is a proven lower bound on that minimum (0 when
+nothing is proven): a `not_stationary` verdict with
+`residual_lower_bound > eps_stat` holds however long the solver would run.
 """
 from __future__ import annotations
 
@@ -196,6 +202,7 @@ def cmd_analyze(args, out) -> int:
         if report.certificate is not None:
             cert = report.certificate
             out.write(f"residual  : {cert.residual:.6e}\n")
+            out.write(f"lower bnd : {cert.residual_lower_bound:.6e}\n")
             out.write(f"z1        : {cert.z1.tolist()}\n")
             out.write(f"z2        : {cert.z2.tolist()}\n")
             out.write(f"slackness : {cert.slackness:.6e}\n")

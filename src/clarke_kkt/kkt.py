@@ -61,6 +61,7 @@ class MultiplierCertificate:
     residual: float
     slackness: float
     converged: bool
+    residual_lower_bound: float  # proven: no multipliers reach a smaller residual
 
     def to_dict(self):
         return {
@@ -71,6 +72,7 @@ class MultiplierCertificate:
             "residual": self.residual,
             "slackness": self.slackness,
             "converged": self.converged,
+            "residual_lower_bound": self.residual_lower_bound,
         }
 
 
@@ -150,12 +152,14 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
 
 
 def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
-                        J1, J2, active_set) -> MultiplierCertificate:
+                        J1, J2, active_set, stop_above=None) -> MultiplierCertificate:
     """Best multiplier certificate over the sampled subdifferential hull.
 
     Minimizes ||G lam + J1^T z1 + J2^T z2|| with lam on the simplex, z1
     free, z2 >= 0 and structurally zero off the active set; slackness is
-    computed exactly from z2 and the inequality values at u0.
+    computed exactly from z2 and the inequality values at u0.  Given
+    stop_above, the solve stops once its residual_lower_bound proves the
+    minimum residual exceeds stop_above (see solve_structured_ls).
     """
     u0 = as_point(u0, prob.n)
     G = np.asarray(sd.points, dtype=float).T  # n x k
@@ -163,7 +167,7 @@ def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
         raise ValueError("empty subdifferential sample")
     active_set = tuple(active_set)
     J2a = np.asarray(J2, dtype=float).reshape(prob.p, prob.n)[list(active_set)]
-    result = solve_structured_ls(G, J1, J2a)
+    result = solve_structured_ls(G, J1, J2a, stop_above=stop_above)
     z2 = np.zeros(prob.p)
     z2[list(active_set)] = result.z2_active
     u_star = G @ result.lam
@@ -172,7 +176,8 @@ def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
     residual = float(np.linalg.norm(u_star + J1.T @ result.z1 + J2.T @ z2))
     _, ineq_values = eval_constraints(prob, u0)
     slackness = float(ineq_values @ z2) if prob.p else 0.0
-    return MultiplierCertificate(u_star, result.lam, result.z1, z2, residual, slackness, result.converged)
+    return MultiplierCertificate(u_star, result.lam, result.z1, z2, residual, slackness,
+                                 result.converged, result.lower_bound)
 
 
 def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
@@ -213,7 +218,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
         return StationarityReport(feasibility, cq, None, "cq_failed")
     try:
         sd = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
-        certificate = recover_multipliers(prob, u0, sd, *cq.jacobians, cq.active_set)
+        certificate = recover_multipliers(prob, u0, sd, *cq.jacobians, cq.active_set,
+                                          stop_above=eps_stat)
     except ClarkeKKTError as exc:
         return StationarityReport(feasibility, cq, None, "error",
                                   failed_stage="multiplier_recovery", message=str(exc))

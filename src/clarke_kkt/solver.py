@@ -12,6 +12,11 @@ and the operands of the plain step ``x <- project(x - step * (H @ x))``, so
 the iterates, and with them every verdict and certificate, are bitwise equal
 to that step's; ``tests/test_solver.py`` pins this against a reference copy
 of the plain loops.
+
+Given ``stop_above``, the least-squares loop also keeps a dual lower bound on
+its optimal residual and stops once that bound exceeds ``stop_above`` and the
+current residual is within ``GAP_RTOL`` of it: the optimum is then proven to
+lie above ``stop_above``, and more iterations could not change that.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import EstimationFailureError
 
 SLATER_BOX_BOUND = 1e3
+GAP_RTOL = 1e-3  # relative gap between residual and lower bound at an early stop
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,7 @@ class StructuredLSResult:
     residual: float
     converged: bool
     iterations: int
+    lower_bound: float = 0.0  # proven lower bound on the optimal residual (0.0 without stop_above)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -66,13 +73,32 @@ def spectral_upper_step(H) -> float:
     return 1.0 / lam
 
 
-def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -> StructuredLSResult:
+def _dual_lower_bound(Q, PG, PC, r):
+    """Lower bound on min ||G lam + J1^T z1 + J2a^T z2|| from the residual r of an iterate.
+
+    P y = y - Q (Q^T y) projects off range(J1^T), PG = P G and PC = P J2a^T.
+    With w = P r: if PC^T w >= 0, every feasible residual vector v has
+    <v, w> = <P v, w> >= min(PG^T w), so ||v|| >= min(PG^T w) / ||w||
+    (Cauchy-Schwarz).  The products go through PG, not G: at a stationary
+    point w is round-off whose range(J1^T) part G would pick up.
+    """
+    w = r - Q @ (Q.T @ r)
+    norm_w = math.sqrt(w.dot(w))
+    if norm_w == 0.0 or np.any(PC.T @ w < 0.0):
+        return 0.0
+    return max(0.0, float(np.min(PG.T @ w)) / norm_w)
+
+
+def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *,
+                        stop_above=None) -> StructuredLSResult:
     """Minimize ||G lam + J1^T z1 + J2_active^T z2||^2 over the product set
     simplex(k) x R^m x R^a_{>=0} by projected gradient descent.
 
     G is n x k (columns are subdifferential samples); J1 is m x n; J2_active
     is a x n.  Terminates when the projected-gradient norm drops below tol
-    or at iter_cap (then converged=False).
+    or at iter_cap (then converged=False).  Given stop_above, it also stops
+    (converged=False) once the dual lower bound exceeds stop_above with the
+    residual within GAP_RTOL of it; lower_bound reports the bound at exit.
     """
     G = np.asarray(G, dtype=float)
     n, k = G.shape
@@ -88,6 +114,10 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
         H = 2.0 * (A.T @ A)
     if not np.all(np.isfinite(H)):
         raise EstimationFailureError("multiplier least-squares matrix is not finite")
+    if stop_above is not None:
+        Q = np.linalg.qr(J1.T)[0]  # n x m, orthonormal basis of range(J1^T)
+        PG = G - Q @ (Q.T @ G)
+        PC = J2a.T - Q @ (Q.T @ J2a.T)
     step = spectral_upper_step(H)
     if step == 0.0:
         # zero quadratic: any feasible point is optimal
@@ -100,7 +130,7 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
     # (oracle test in tests/test_solver.py). np.dot runs the same BLAS product
     # as `@`; desc > crit has the truth value of desc - crit > 0 (gradual underflow).
     x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    srt, css, crit = np.empty(k), np.empty(k), np.empty(k)
+    srt, css, crit, r = np.empty(k), np.empty(k), np.empty(k), np.empty(n)
     cond = np.empty(k, dtype=bool)
     ranks = np.arange(1.0, k + 1)
     desc, cond_rev = srt[::-1], cond[::-1]
@@ -127,15 +157,22 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10) -
         pg_norm = math.sqrt(diff.dot(diff)) / step
         x, x_new = x_new, x
         iterations = it
-        if it % 100 == 0:
-            obj = float(x @ (H @ x)) / 2.0
-            assert obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)), "objective increased"
-            prev_obj = obj
         if pg_norm <= tol:
             converged = True
             break
-    residual = float(np.linalg.norm(A @ x))
-    return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations)
+        if it % 100 == 0:
+            np.dot(A, x, out=r)
+            obj = r.dot(r)  # ||A x||^2 = x.Hx / 2
+            assert obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)), "objective increased"
+            prev_obj = obj
+            if stop_above is not None:
+                bound = _dual_lower_bound(Q, PG, PC, r)
+                if bound > stop_above and math.sqrt(obj) - bound <= GAP_RTOL * bound:
+                    break
+    r = A @ x
+    residual = float(np.linalg.norm(r))
+    bound = 0.0 if stop_above is None else _dual_lower_bound(Q, PG, PC, r)
+    return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations, bound)
 
 
 def slater_direction(J1, J2_active, bound=SLATER_BOX_BOUND, iter_cap=50000, tol=1e-12):
@@ -143,14 +180,18 @@ def slater_direction(J1, J2_active, bound=SLATER_BOX_BOUND, iter_cap=50000, tol=
 
     Minimizes ||J1 phi||^2 + sum_i max(0, (J2_active phi)_i + 1)^2 over the
     box by projected gradient.  Returns (phi, converged); feasibility is for
-    the caller to verify on phi.
+    the caller to verify on phi.  Raises EstimationFailureError when the
+    normal matrix overflows.
     """
     J2a = np.asarray(J2_active, dtype=float)
     a, n = J2a.shape
     J1 = np.zeros((0, n)) if J1 is None else np.asarray(J1, dtype=float).reshape(-1, n)
     if a == 0:
         return np.zeros(n), True
-    H = 2.0 * (J1.T @ J1 + J2a.T @ J2a)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        H = 2.0 * (J1.T @ J1 + J2a.T @ J2a)
+    if not np.all(np.isfinite(H)):
+        raise EstimationFailureError("Slater normal matrix is not finite")
     step = spectral_upper_step(H)
     if step == 0.0:
         return np.zeros(n), True

@@ -304,6 +304,29 @@ def test_analyze_non_finite_jacobian_is_cq_stage_error(tmp_path, capsys):
     assert payload["cq"] is None and payload["certificate"] is None
 
 
+def test_analyze_slater_overflow_is_cq_stage_error(tmp_path, capsys):
+    # the Jacobian 1e160 is finite, but the Slater normal matrix squares it
+    path = tmp_path / "slater.prob"
+    path.write_text("dim 1\nobjective x1\nineq 1e160 * x1\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0", "--json")
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["verdict"] == "error"
+    assert payload["failed_stage"] == "constraint_qualification"
+    assert payload["message"] == "Slater normal matrix is not finite"
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_human_reports_lower_bound(p3_file, capsys):
+    code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,1")
+    assert code == 3
+    lines = out.splitlines()
+    residual = next(i for i, line in enumerate(lines) if line.startswith("residual  : "))
+    key, value = lines[residual + 1].split(":")
+    assert key == "lower bnd "
+    assert 0.1 < float(value) <= float(lines[residual].split(":")[1])
+
+
 @pytest.mark.parametrize("command, at, code, message", [
     # pow overflows at the point, near it, and in the estimator's stepped points
     ("analyze", "10", 2, "feasibility: non-finite objective value at the point"),

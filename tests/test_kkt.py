@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from clarke_kkt import kkt
 from clarke_kkt.kkt import (
     check_constraint_qualification,
     jacobians,
@@ -13,6 +14,7 @@ from clarke_kkt.subdiff import sample_subdifferential
 
 P2_TEXT = "name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n"
 P3_TEXT = "name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n"
+P4_TEXT = "name P4\ndim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2\n"
 
 
 def test_jacobians_linear():
@@ -186,3 +188,58 @@ def test_non_finite_jacobian_is_cq_stage_error():
     assert report.failed_stage == "constraint_qualification"
     assert report.message == "non-finite constraint Jacobian at the point"
     assert report.cq is None and report.certificate is None
+
+
+# --- proven not_stationary: the residual lower bound ---------------------------
+
+def family_text(family, n):
+    """Q_n: sum (x_i - 1)^2; A_n: sum |x_i|; both subject to sum x_i = 0."""
+    term = "pow(x{} - 1, 2)" if family == "Q" else "abs(x{})"
+    objective = " + ".join(term.format(i) for i in range(1, n + 1))
+    return f"dim {n}\nobjective {objective}\neq {' + '.join(f'x{i}' for i in range(1, n + 1))}\n"
+
+
+def verify_with_solve(monkeypatch, prob, u, **kwargs):
+    """verify_stationarity, and the StructuredLSResult of its multiplier solve."""
+    results = []
+    solve = kkt.solve_structured_ls
+
+    def recording(*args, **solve_kwargs):
+        results.append(solve(*args, **solve_kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(kkt, "solve_structured_ls", recording)
+    report = verify_stationarity(prob, u, **kwargs)
+    assert len(results) == 1
+    return report, results[0]
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+@pytest.mark.parametrize("family", ["Q", "A"])
+def test_not_stationary_is_proven_early(family, n, monkeypatch):
+    # at e_i - e_j the Q_n gradient g = 2(u - 1) is the whole subdifferential and
+    # the best z1 removes its mean; the A_n subgradients have s_i = 1, s_j = -1,
+    # so (1 + z1)^2 + (z1 - 1)^2 >= 2 bounds the residual below by sqrt(2)
+    u = np.zeros(n)
+    u[1], u[3] = 1.0, -1.0
+    g = 2.0 * (u - 1.0)
+    floor = np.linalg.norm(g - g.mean()) if family == "Q" else np.sqrt(2.0)
+    report, solve = verify_with_solve(monkeypatch, parse_problem(family_text(family, n)), u)
+    cert = report.certificate
+    assert report.verdict == "not_stationary"
+    assert solve.iterations <= 5000
+    assert cert.residual_lower_bound > kkt.DEFAULT_EPS_STAT
+    assert cert.residual <= 1.001 * cert.residual_lower_bound
+    assert cert.residual >= 0.8 * floor
+
+
+@pytest.mark.parametrize("text, u, eps_stat", [
+    (family_text("Q", 5), np.zeros(5), kkt.DEFAULT_EPS_STAT),
+    (P4_TEXT, np.array([0.5, -0.5]), 1e-4),
+], ids=["Q5_at_0", "P4_at_minimizer"])
+def test_stationary_points_prove_no_bound(text, u, eps_stat, monkeypatch):
+    # both points are stationary, so no bound may exceed 0; the projected-
+    # gradient solve still runs to its cap here (an exact solver would not)
+    report, solve = verify_with_solve(monkeypatch, parse_problem(text), u, eps_stat=eps_stat)
+    assert report.certificate.residual_lower_bound == 0.0
+    assert solve.iterations == 50000 and not solve.converged

@@ -1,10 +1,11 @@
 """Structured least-squares solver, simplex projection, and Slater LP."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.solver import (
+    GAP_RTOL,
     SLATER_BOX_BOUND,
     StructuredLSResult,
     project_simplex,
@@ -88,6 +89,15 @@ def grid_min_residual(G, J1=None, J2_active=None, z_box=2.0, step=1e-3):
     return best
 
 
+GRID_CASES = [
+    (np.array([[-1.0, 1.0]]), None, None),                       # P1 vertices
+    (np.array([[1.0, 0.0], [0.0, 1.0]]), [[1.0, 1.0]], None),    # P2 vertices
+    (np.array([[-1.0, 1.0], [1.0, 1.0]]), None, [[0.0, -1.0]]),  # P3 vertices
+    (np.array([[-1.0], [-1.0]]), [[1.0, 1.0]], None),            # P4 gradient
+    (np.array([[1.0], [0.0]]), [[1.0, 1.0]], None),              # P2 probe gradient
+]
+
+
 def test_single_zero_column():
     result = solve_structured_ls(np.zeros((2, 1)))
     np.testing.assert_array_equal(result.lam, [1.0])
@@ -120,13 +130,7 @@ def test_p2_instance_matches_hand_solution():
     np.testing.assert_allclose(result.lam, [0.5, 0.5], atol=1e-5)
 
 
-@pytest.mark.parametrize("G,J1,J2a", [
-    (np.array([[-1.0, 1.0]]), None, None),                       # P1 vertices
-    (np.array([[1.0, 0.0], [0.0, 1.0]]), [[1.0, 1.0]], None),    # P2 vertices
-    (np.array([[-1.0, 1.0], [1.0, 1.0]]), None, [[0.0, -1.0]]),  # P3 vertices
-    (np.array([[-1.0], [-1.0]]), [[1.0, 1.0]], None),            # P4 gradient
-    (np.array([[1.0], [0.0]]), [[1.0, 1.0]], None),              # P2 probe gradient
-])
+@pytest.mark.parametrize("G,J1,J2a", GRID_CASES)
 def test_residual_matches_grid_oracle(G, J1, J2a):
     G = np.asarray(G, dtype=float)
     result = solve_structured_ls(G, J1=J1, J2_active=J2a)
@@ -171,6 +175,12 @@ def test_slater_infeasible_reports_violation():
     phi, converged = slater_direction(np.zeros((0, 2)), J2a)
     assert converged
     assert np.max(J2a @ phi) > -1.0 + 1e-8
+
+
+def test_slater_non_finite_normal_matrix_is_rejected():
+    # 1e160 is finite, but its square in the normal matrix is not
+    with pytest.raises(EstimationFailureError, match="Slater normal matrix"):
+        slater_direction(np.zeros((0, 1)), np.array([[1e160]]))
 
 
 def test_slater_empty_active_set():
@@ -280,3 +290,52 @@ def test_buffered_loop_matches_reference_at_scale():
     G, J1 = rng.normal(size=(50, 130)), rng.normal(size=(1, 50))
     result = solve_structured_ls(G, J1=J1, iter_cap=2000)
     _assert_bitwise_equal(result, _reference_structured_ls(G, J1, None, 2000, 1e-10))
+
+
+# --- dual lower bound and the early stop it allows ---------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2), st.integers(0, 3),
+       st.integers(1, 400), st.sampled_from([1e-10, 1e-6, 1e-3]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0))
+@example(n=4, k=6, m=1, a=2, iter_cap=400, tol=1e-10, seed=7, stop_above=0.5)  # stops at 200
+def test_early_stop_is_a_prefix_of_the_reference_run(n, k, m, a, iter_cap, tol, seed, stop_above):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, k))
+    J1 = rng.normal(size=(m, n)) if m else None
+    J2a = rng.normal(size=(a, n)) if a else None
+    result = solve_structured_ls(G, J1=J1, J2_active=J2a, iter_cap=iter_cap, tol=tol,
+                                 stop_above=stop_above)
+    # the early stop only cuts the iterate sequence short
+    _assert_bitwise_equal(result, _reference_structured_ls(G, J1, J2a, result.iterations, tol))
+    full = _reference_structured_ls(G, J1, J2a, iter_cap, tol)
+    assert (result.residual <= stop_above) == (full.residual <= stop_above)
+    assert result.lower_bound <= full.residual * (1.0 + 1e-9)
+    if result.iterations < full.iterations:
+        assert stop_above < result.lower_bound
+        assert result.residual <= (1.0 + GAP_RTOL) * result.lower_bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("G,J1,J2a", GRID_CASES)
+def test_lower_bound_below_grid_oracle(G, J1, J2a):
+    G = np.asarray(G, dtype=float)
+    result = solve_structured_ls(G, J1=J1, J2_active=J2a, stop_above=0.0)
+    assert result.lower_bound <= grid_min_residual(G, J1, J2a) + 2e-3
+
+
+def test_lower_bound_ignores_round_off_at_a_stationary_point():
+    # P2 vertices: the optimal residual is 0, and at the solution w = P r is
+    # round-off (about 1e-27) along range(J1^T) as much as off it; dotted with
+    # G instead of P G it would "prove" a residual of 0.316
+    G, J1 = np.eye(2), np.array([[1.0, 1.0]])
+    result = solve_structured_ls(G, J1=J1, stop_above=1e-9)
+    plain = solve_structured_ls(G, J1=J1)
+    assert result.iterations == plain.iterations
+    assert result.converged
+    assert result.residual <= 1e-9
+    assert result.lower_bound <= 1e-9
+
+
+def test_lower_bound_is_zero_without_stop_above():
+    result = solve_structured_ls(np.array([[1.0], [0.0]]), J1=[[1.0, 1.0]])
+    assert result.lower_bound == 0.0
