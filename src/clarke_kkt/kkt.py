@@ -11,6 +11,7 @@ sampled subdifferential; z2 is structurally zero off the active set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,14 +153,14 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
 
 
 def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
-                        J1, J2, active_set, stop_above=None) -> MultiplierCertificate:
+                        J1, J2, active_set, stop_above=math.inf) -> MultiplierCertificate:
     """Best multiplier certificate over the sampled subdifferential hull.
 
     Minimizes ||G lam + J1^T z1 + J2^T z2|| with lam on the simplex, z1
     free, z2 >= 0 and structurally zero off the active set; slackness is
-    computed exactly from z2 and the inequality values at u0.  Given
-    stop_above, the solve stops once its residual_lower_bound proves the
-    minimum residual exceeds stop_above (see solve_structured_ls).
+    computed exactly from z2 and the inequality values at u0.  The solve
+    stops once its residual_lower_bound proves the minimum residual exceeds
+    stop_above (see solve_structured_ls).
     """
     u0 = as_point(u0, prob.n)
     G = np.asarray(sd.points, dtype=float).T  # n x k

@@ -13,10 +13,11 @@ the iterates, and with them every verdict and certificate, are bitwise equal
 to that step's; ``tests/test_solver.py`` pins this against a reference copy
 of the plain loops.
 
-Given ``stop_above``, the least-squares loop also keeps a dual lower bound on
-its optimal residual and stops once that bound exceeds ``stop_above`` and the
-current residual is within ``GAP_RTOL`` of it: the optimum is then proven to
-lie above ``stop_above``, and more iterations could not change that.
+The least-squares loop also keeps a dual lower bound on its optimal residual
+and stops once that bound exceeds ``stop_above`` and the current residual is
+within ``GAP_RTOL`` of it: the optimum is then proven to lie above
+``stop_above``, and more iterations could not change that. The default
+``stop_above=math.inf`` never stops early.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class StructuredLSResult:
     residual: float
     converged: bool
     iterations: int
-    lower_bound: float = 0.0  # proven lower bound on the optimal residual (0.0 without stop_above)
+    lower_bound: float  # proven lower bound on the optimal residual
 
 
 def project_simplex(v) -> np.ndarray:
@@ -90,15 +91,15 @@ def _dual_lower_bound(Q, PG, PC, r):
 
 
 def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *,
-                        stop_above=None) -> StructuredLSResult:
+                        stop_above=math.inf) -> StructuredLSResult:
     """Minimize ||G lam + J1^T z1 + J2_active^T z2||^2 over the product set
     simplex(k) x R^m x R^a_{>=0} by projected gradient descent.
 
     G is n x k (columns are subdifferential samples); J1 is m x n; J2_active
     is a x n.  Terminates when the projected-gradient norm drops below tol
-    or at iter_cap (then converged=False).  Given stop_above, it also stops
-    (converged=False) once the dual lower bound exceeds stop_above with the
-    residual within GAP_RTOL of it; lower_bound reports the bound at exit.
+    or at iter_cap (then converged=False).  It also stops (converged=False)
+    once the dual lower bound exceeds stop_above with the residual within
+    GAP_RTOL of it; lower_bound reports the bound at exit.
     """
     G = np.asarray(G, dtype=float)
     n, k = G.shape
@@ -114,16 +115,16 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
         H = 2.0 * (A.T @ A)
     if not np.all(np.isfinite(H)):
         raise EstimationFailureError("multiplier least-squares matrix is not finite")
-    if stop_above is not None:
-        Q = np.linalg.qr(J1.T)[0]  # n x m, orthonormal basis of range(J1^T)
-        PG = G - Q @ (Q.T @ G)
-        PC = J2a.T - Q @ (Q.T @ J2a.T)
+    Q = np.linalg.qr(J1.T)[0]  # n x m, orthonormal basis of range(J1^T)
+    PG = G - Q @ (Q.T @ G)
+    PC = J2a.T - Q @ (Q.T @ J2a.T)
     step = spectral_upper_step(H)
     if step == 0.0:
         # zero quadratic: any feasible point is optimal
         x[:k] = project_simplex(x[:k])
-        residual = float(np.linalg.norm(A @ x))
-        return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, True, 0)
+        r = A @ x
+        return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], float(np.linalg.norm(r)), True, 0,
+                                  _dual_lower_bound(Q, PG, PC, r))
 
     # project_simplex and max(., 0) on x - step * (H @ x), one operation per
     # line on these buffers, so the iterates equal the plain loop's bit for bit
@@ -157,21 +158,21 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
         pg_norm = math.sqrt(diff.dot(diff)) / step
         x, x_new = x_new, x
         iterations = it
-        if pg_norm <= tol:
-            converged = True
-            break
         if it % 100 == 0:
             np.dot(A, x, out=r)
             obj = r.dot(r)  # ||A x||^2 = x.Hx / 2
             assert obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)), "objective increased"
             prev_obj = obj
-            if stop_above is not None:
-                bound = _dual_lower_bound(Q, PG, PC, r)
-                if bound > stop_above and math.sqrt(obj) - bound <= GAP_RTOL * bound:
-                    break
+        if pg_norm <= tol:
+            converged = True
+            break
+        if it % 100 == 0:
+            bound = _dual_lower_bound(Q, PG, PC, r)
+            if bound > stop_above and math.sqrt(obj) - bound <= GAP_RTOL * bound:
+                break
     r = A @ x
     residual = float(np.linalg.norm(r))
-    bound = 0.0 if stop_above is None else _dual_lower_bound(Q, PG, PC, r)
+    bound = _dual_lower_bound(Q, PG, PC, r)
     return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations, bound)
 
 
