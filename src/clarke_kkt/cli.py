@@ -8,10 +8,11 @@ Commands and the options each one reads (all take --json):
     check-properties <file> --at .. estimator property checks at a point
                                     --seed --levels --samples --eps-sub
 
-Without --seed the seed comes from $CLARKE_KKT_SEED, else 42.  A command
-rejects an option it does not read, float options must be finite,
---eps-stat, --active-tol and --eps-sub must be nonnegative, and
---sd-radius and --sd-count must be positive.
+Without --seed the seed comes from $CLARKE_KKT_SEED, else 42; either must
+be a nonnegative integer.  A command rejects an option it does not read,
+float options must be finite, --eps-stat, --active-tol and --eps-sub must be
+nonnegative, and --sd-radius and --sd-count must be positive.  A rejected
+option, an unreadable input file or a failed `suite --export` write exits 2.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
 5 constraint qualification failed, 2 input or processing error (verdict
@@ -103,9 +104,19 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 # Every option a command can declare; each default is the library's own.
 OPTIONS = {
-    "seed": dict(type=int, default=None,
+    "seed": dict(type=_nonnegative_int, default=None,
                  help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
     "levels": dict(type=int, default=GenDirConfig.levels),
     "samples": dict(type=int, default=GenDirConfig.samples_per_level),
@@ -140,9 +151,9 @@ def _env_seed():
     if env is None:
         return GenDirConfig.seed
     try:
-        return int(env)
-    except ValueError:
-        raise ClarkeKKTError(f"{SEED_ENV}={env!r} is not an integer") from None
+        return _nonnegative_int(env)
+    except argparse.ArgumentTypeError:
+        raise ClarkeKKTError(f"{SEED_ENV}={env!r} is not a nonnegative integer") from None
 
 
 def _parse_point(text, n):
@@ -216,9 +227,13 @@ def cmd_suite(args, out) -> int:
     cfg = _config(args)
     if args.export is not None:
         export_dir = Path(args.export)
-        export_dir.mkdir(parents=True, exist_ok=True)
-        for entry in registry():
-            (export_dir / f"{entry.name}.prob").write_text(entry.problem_text, encoding="utf-8")
+        try:
+            export_dir.mkdir(parents=True, exist_ok=True)
+            for entry in registry():
+                (export_dir / f"{entry.name}.prob").write_text(entry.problem_text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         out.write(f"exported {len(registry())} problems to {export_dir}\n")
         return EXIT_OK
     entries = []

@@ -121,9 +121,11 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
                                    active_tol=DEFAULT_ACTIVE_TOL) -> ConstraintQualificationReport:
     """Rank of J1, active inequality set, and a strictly feasible (Slater) direction.
 
-    The Slater direction solves the LP: find phi with |phi|_inf <= SLATER_BOX_BOUND,
-    J1 phi = 0 and (J2 phi)_i <= -1 on the active set, by projected-gradient
-    feasibility minimization.  Empty active set makes the check vacuous.
+    The Slater direction phi has |phi|_inf <= SLATER_BOX_BOUND, J1 phi = 0 and
+    (J2 phi)_i <= -1 on the active set; slater_direction finds it from the
+    min-norm point of the projected active rows (Gordan's alternative).  An
+    unconverged solve that yields no direction raises CQIndeterminateError.
+    Empty active set makes the check vacuous.
     A non-finite Jacobian entry (a constraint whose stencil overflows) raises
     EstimationFailureError.
     """
@@ -144,7 +146,7 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
         return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, (J1, J2))
     phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
-        raise CQIndeterminateError("Slater LP solve did not converge")
+        raise CQIndeterminateError("Slater solve did not converge")
     eq_ok = prob.m == 0 or float(np.max(np.abs(J1 @ phi))) <= 1e-8
     ineq_ok = bool(np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
     slater_ok = eq_ok and ineq_ok

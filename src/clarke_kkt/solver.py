@@ -1,22 +1,25 @@
-"""Projected-gradient machinery for multiplier recovery and the Slater LP.
+"""Projected-gradient solver for multiplier recovery and the Slater check.
 
-One solver, two uses: a structured least-squares program over
-simplex x free x nonnegative blocks, and a box-constrained feasibility
-program whose optimum decides existence of a strictly feasible direction.
-Both are convex with Lipschitz gradients; constant step 1/L with L from
-power iteration guarantees a non-increasing objective.
+One solver, two uses.  solve_structured_ls minimizes a structured
+least-squares program over simplex x free x nonnegative blocks; it is convex
+with a Lipschitz gradient, and the constant step 1/L with L from power
+iteration guarantees a non-increasing objective.  The multipliers are its
+minimizer over the sampled subdifferential.  slater_direction calls it on the
+active inequality rows a_i projected off range(J1^T): by Gordan's alternative
+a strictly feasible direction exists iff the min-norm point w of that hull is
+nonzero (Wolfe 1976), and then phi = -w / min_i(a_i . w) is one.
 
-Both loops run on buffers allocated once per call and write every
+The loop runs on buffers allocated once per call and writes every
 intermediate through ``out=``. Each floating-point operation keeps the order
 and the operands of the plain step ``x <- project(x - step * (H @ x))``, so
 the iterates, and with them every verdict and certificate, are bitwise equal
 to that step's; ``tests/test_solver.py`` pins this against a reference copy
-of the plain loops.
+of the plain loop.
 
-The least-squares loop also keeps a dual lower bound on its optimal residual
-and stops once that bound exceeds ``stop_above`` and the current residual is
-within ``GAP_RTOL`` of it: the optimum is then proven to lie above
-``stop_above``, and more iterations could not change that. The default
+The loop also keeps a dual lower bound on its optimal residual and stops
+once that bound exceeds ``stop_above`` and the current residual is within
+``GAP_RTOL`` of it: the optimum is then proven to lie above ``stop_above``,
+and more iterations could not change that. The default
 ``stop_above=math.inf`` never stops early.
 """
 from __future__ import annotations
@@ -176,44 +179,30 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations, bound)
 
 
-def slater_direction(J1, J2_active, bound=SLATER_BOX_BOUND, iter_cap=50000, tol=1e-12):
-    """Search for phi with J1 phi = 0 and (J2_active phi)_i <= -1, |phi|_inf <= bound.
+def slater_direction(J1, J2_active, iter_cap=50000):
+    """phi with J1 phi = 0, (J2_active phi)_i <= -1 and |phi|_inf <= SLATER_BOX_BOUND.
 
-    Minimizes ||J1 phi||^2 + sum_i max(0, (J2_active phi)_i + 1)^2 over the
-    box by projected gradient.  Returns (phi, converged); feasibility is for
-    the caller to verify on phi.  Raises EstimationFailureError when the
+    solve_structured_ls finds the min-norm point w of conv{P a_i} (see the
+    module docstring); any w with margin = min(J2_active w) > 0 gives
+    phi = -w / margin.  Returns (phi, True) when phi fits the box, else
+    (zeros, converged): a direction is certified by its own inequalities, not
+    by the solve's convergence.  Raises EstimationFailureError when the
     normal matrix overflows.
     """
     J2a = np.asarray(J2_active, dtype=float)
     a, n = J2a.shape
-    J1 = np.zeros((0, n)) if J1 is None else np.asarray(J1, dtype=float).reshape(-1, n)
     if a == 0:
         return np.zeros(n), True
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        H = 2.0 * (J1.T @ J1 + J2a.T @ J2a)
-    if not np.all(np.isfinite(H)):
-        raise EstimationFailureError("Slater normal matrix is not finite")
-    step = spectral_upper_step(H)
-    if step == 0.0:
-        return np.zeros(n), True
-    phi, phi_new, diff = np.zeros(n), np.empty(n), np.empty(n)
-    grad, grad_ineq = np.empty(n), np.empty(n)
-    eq_res, hinge = np.empty(J1.shape[0]), np.empty(a)
-    for _ in range(iter_cap):
-        np.dot(J1, phi, out=eq_res)
-        np.dot(J2a, phi, out=hinge)
-        np.add(hinge, 1.0, out=hinge)
-        np.maximum(0.0, hinge, out=hinge)
-        np.dot(J1.T, eq_res, out=grad)
-        np.dot(J2a.T, hinge, out=grad_ineq)
-        np.add(grad, grad_ineq, out=grad)
-        np.multiply(2.0, grad, out=grad)
-        np.multiply(step, grad, out=grad)
-        np.subtract(phi, grad, out=phi_new)
-        np.clip(phi_new, -bound, bound, out=phi_new)
-        np.subtract(phi, phi_new, out=diff)
-        pg_norm = math.sqrt(diff.dot(diff)) / step
-        phi, phi_new = phi_new, phi
-        if pg_norm <= tol:
-            return phi, True
-    return phi, False
+    J1 = np.zeros((0, n)) if J1 is None else np.asarray(J1, dtype=float).reshape(-1, n)
+    Q = np.linalg.qr(J1.T)[0]
+    PA = J2a.T - Q @ (Q.T @ J2a.T)
+    try:
+        result = solve_structured_ls(PA, iter_cap=iter_cap)
+    except EstimationFailureError as exc:
+        raise EstimationFailureError("Slater normal matrix is not finite") from exc
+    w = PA @ result.lam
+    margin = float(np.min(J2a @ w))
+    # compared before dividing, so a tiny margin cannot overflow phi
+    if margin > 0.0 and np.max(np.abs(w)) <= SLATER_BOX_BOUND * margin:
+        return 0.0 - w / margin, True  # 0.0 - keeps -0.0 out of the report
+    return np.zeros(n), result.converged

@@ -34,6 +34,12 @@ def test_analyze_stationary_exit_zero(p3_file, capsys):
                              "timings"]
 
 
+def test_analyze_writes_the_slater_direction_without_negative_zero(p3_file, capsys):
+    code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,0", "--json")
+    assert code == 0
+    assert '"slater_direction": [0.0, 1.0]' in out
+
+
 def test_analyze_not_stationary_exit_three(p3_file, capsys):
     code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,1", "--json")
     assert code == 3
@@ -94,6 +100,17 @@ def test_suite_export_round_trips(tmp_path, capsys):
     from clarke_kkt.suite import registry
     for entry, path in zip(registry(), files):
         assert parse_problem(path.read_text(encoding="utf-8")) == entry.problem
+
+
+def test_suite_export_failure_is_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code = cli.main(["suite", "--export", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(taken) in captured.err
 
 
 def test_suite_json_deterministic_excluding_timings(capsys):
@@ -189,6 +206,29 @@ def test_option_rejected_at_parse_time(argv, p3_file):
     with pytest.raises(SystemExit) as exc:
         cli.main([a.format(p3=p3_file) for a in argv])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{p3}", "--at", "0,0", "--seed", "-1"),
+    ("suite", "--seed", "-1"),
+    ("check-properties", "{p3}", "--at", "0,0", "--seed=-1"),
+])
+def test_negative_seed_rejected_at_parse_time(argv, p3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(p3=p3_file) for a in argv])
+    assert exc.value.code == 2
+    assert "error: argument --seed: not a nonnegative integer: '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "suite"])
+def test_seed_env_negative_is_input_error(command, p3_file, capsys, monkeypatch):
+    monkeypatch.setenv("CLARKE_KKT_SEED", "-2")
+    argv = ["analyze", p3_file, "--at", "0,0"] if command == "analyze" else ["suite"]
+    code = cli.main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: CLARKE_KKT_SEED='-2' is not a nonnegative integer\n"
 
 
 def test_seed_env_unparsable_is_input_error(p3_file, capsys, monkeypatch):

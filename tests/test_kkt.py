@@ -58,6 +58,16 @@ def test_cq_slater_direction_for_active_inequality():
     assert cq.slater_direction[1] >= 1.0 - 1e-8
 
 
+def test_slater_direction_for_rows_of_very_different_scale():
+    # rows 80x apart in scale: a direction needs phi >= 50 for the small one
+    prob = parse_problem("dim 1\nobjective x1\nineq -0.02 * x1\nineq -1.6 * x1\n")
+    report = verify_stationarity(prob, [0.0])
+    assert report.verdict == "stationary"
+    assert report.cq.slater_ok
+    assert report.cq.slater_direction[0] == pytest.approx(50.0)
+    assert np.all(report.certificate.z2 >= 0.0)
+
+
 def test_cq_inactive_inequality_is_vacuous():
     prob = parse_problem(P3_TEXT)
     cq = check_constraint_qualification(prob, [0.0, 1.0])

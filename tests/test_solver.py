@@ -1,9 +1,9 @@
-"""Structured least-squares solver, simplex projection, and Slater LP."""
+"""Structured least-squares solver, simplex projection, and Slater direction."""
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.solver import (
@@ -184,15 +184,62 @@ def test_slater_non_finite_normal_matrix_is_rejected():
         slater_direction(np.zeros((0, 1)), np.array([[1e160]]))
 
 
+def test_slater_direction_outside_the_box_is_rejected():
+    # -1e-4 phi <= -1 needs |phi| >= 1e4 > SLATER_BOX_BOUND
+    phi, converged = slater_direction(np.zeros((0, 1)), np.array([[1e-4]]))
+    assert converged
+    np.testing.assert_array_equal(phi, np.zeros(1))
+
+
+def test_slater_direction_is_certified_before_the_solve_converges():
+    J2a = np.array([[1.0, 0.0], [0.0, 2.0]])
+    phi, certified = slater_direction(np.zeros((0, 2)), J2a, iter_cap=1)
+    assert certified
+    assert np.all(J2a @ phi <= -1.0)
+
+
+def test_slater_unconverged_without_direction_is_reported():
+    phi, converged = slater_direction(np.zeros((0, 2)), np.array([[1.0, 0.0], [-2.0, 0.0]]),
+                                      iter_cap=1)
+    assert not converged
+    np.testing.assert_array_equal(phi, np.zeros(2))
+
+
 def test_slater_empty_active_set():
     phi, converged = slater_direction(np.array([[1.0, 0.0]]), np.zeros((0, 2)))
     assert converged
     np.testing.assert_array_equal(phi, np.zeros(2))
 
 
-# --- bitwise oracle: the plain projected-gradient loops ----------------------
-# solve_structured_ls and slater_direction run on preallocated buffers; these
-# unbuffered loops are the reference their iterates must equal bit for bit.
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(n=2, m=0, a=2, negate=True, seed=0)  # a row and its negation: no direction
+def test_slater_direction_follows_gordans_alternative(n, m, a, negate, seed):
+    # Either a direction certifies itself, or the hull of the projected active
+    # rows (the grid oracle over conv{a_i} + range(J1^T)) reaches about 0.
+    # The grid's k = 3, m = 1 case takes tens of seconds, hence a + m <= 3.
+    assume(a + m <= 3)
+    rng = np.random.default_rng(seed)
+    # unit J1 rows and entries in [-1/2, 1/2] keep the grid's z1 within its box
+    J1 = rng.uniform(-1.0, 1.0, size=(m, n))
+    J1 /= np.linalg.norm(J1, axis=1, keepdims=True)
+    J2a = rng.uniform(-0.5, 0.5, size=(a, n))
+    if negate and a >= 2:
+        J2a[-1] = -J2a[0]
+    phi, converged = slater_direction(J1, J2a)
+    if phi.any():
+        assert np.all(np.abs(J1 @ phi) <= 1e-8)
+        assert np.all(J2a @ phi <= -1.0 + 1e-8)
+        assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
+    elif converged:
+        oracle = grid_min_residual(J2a.T, J1 if m else None)
+        assert oracle <= 1.0 / SLATER_BOX_BOUND + 2e-3
+
+
+# --- bitwise oracle: the plain projected-gradient loop ------------------------
+# solve_structured_ls runs on preallocated buffers; this unbuffered loop is
+# the reference its iterates must equal bit for bit.
 
 def _reference_upper_step(H):
     v = np.random.default_rng(0).standard_normal(H.shape[0])
@@ -245,25 +292,6 @@ def _reference_structured_ls(G, J1, J2a, iter_cap, tol):
                            converged, iterations)
 
 
-def _reference_slater(J1, J2a, iter_cap):
-    n = J2a.shape[1]
-    J1 = np.zeros((0, n)) if J1 is None else J1
-    step = _reference_upper_step(2.0 * (J1.T @ J1 + J2a.T @ J2a))
-    if step == 0.0:
-        return np.zeros(n), True
-    phi = np.zeros(n)
-    for _ in range(iter_cap):
-        eq_res = J1 @ phi
-        hinge = np.maximum(0.0, J2a @ phi + 1.0)
-        grad = 2.0 * (J1.T @ eq_res + J2a.T @ hinge)
-        phi_new = np.clip(phi - step * grad, -SLATER_BOX_BOUND, SLATER_BOX_BOUND)
-        pg_norm = float(np.linalg.norm(phi - phi_new)) / step
-        phi = phi_new
-        if pg_norm <= 1e-12:
-            return phi, True
-    return phi, False
-
-
 def _assert_bitwise_equal(result, reference):
     for field in ("lam", "z1", "z2_active"):
         assert np.array_equal(getattr(result, field), getattr(reference, field)), field
@@ -282,11 +310,6 @@ def test_buffered_loops_match_reference_bitwise(n, k, m, a, iter_cap, tol, seed)
     J2a = rng.normal(size=(a, n)) if a else None
     result = solve_structured_ls(G, J1=J1, J2_active=J2a, iter_cap=iter_cap, tol=tol)
     _assert_bitwise_equal(result, _reference_structured_ls(G, J1, J2a, iter_cap, tol))
-    if a:
-        phi, converged = slater_direction(J1, J2a, iter_cap=iter_cap)
-        ref_phi, ref_converged = _reference_slater(J1, J2a, iter_cap)
-        assert np.array_equal(phi, ref_phi)
-        assert converged == ref_converged
 
 
 def test_buffered_loop_matches_reference_at_scale():
