@@ -123,7 +123,8 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
 
     The Slater direction phi has |phi|_inf <= SLATER_BOX_BOUND, J1 phi = 0 and
     (J2 phi)_i <= -1 on the active set; slater_direction finds it from the
-    min-norm point of the projected active rows (Gordan's alternative).  An
+    min-norm point of the projected active rows (Gordan's alternative), and
+    when that direction leaves the box, from the box problem itself.  An
     unconverged solve that yields no direction raises CQIndeterminateError.
     Empty active set makes the check vacuous.
     A non-finite Jacobian entry (a constraint whose stencil overflows) raises

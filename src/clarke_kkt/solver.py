@@ -7,7 +7,9 @@ iteration guarantees a non-increasing objective.  The multipliers are its
 minimizer over the sampled subdifferential.  slater_direction calls it on the
 active inequality rows a_i projected off range(J1^T): by Gordan's alternative
 a strictly feasible direction exists iff the min-norm point w of that hull is
-nonzero (Wolfe 1976), and then phi = -w / min_i(a_i . w) is one.
+nonzero (Wolfe 1976), and then phi = -w / min_i(a_i . w) is one.  When that
+phi leaves the box |phi|_inf <= SLATER_BOX_BOUND, the same alternative on
+homogenized rows, the box's included, decides whether another direction fits.
 
 The loop runs on buffers allocated once per call and writes every
 intermediate through ``out=``. Each floating-point operation keeps the order
@@ -182,12 +184,11 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
 def slater_direction(J1, J2_active, iter_cap=50000):
     """phi with J1 phi = 0, (J2_active phi)_i <= -1 and |phi|_inf <= SLATER_BOX_BOUND.
 
-    solve_structured_ls finds the min-norm point w of conv{P a_i} (see the
-    module docstring); any w with margin = min(J2_active w) > 0 gives
-    phi = -w / margin.  Returns (phi, True) when phi fits the box, else
-    (zeros, converged): a direction is certified by its own inequalities, not
-    by the solve's convergence.  Raises EstimationFailureError when the
-    normal matrix overflows.
+    Tries phi = -w / min(J2_active w) from the min-norm point w of conv{P a_i}
+    (module docstring), and when that gives none in the box, the box problem
+    itself.  Returns (phi, True), or (zeros, converged) without a direction: a
+    direction is certified by its own inequalities, not by the solve's
+    convergence.  Raises EstimationFailureError when the normal matrix overflows.
     """
     J2a = np.asarray(J2_active, dtype=float)
     a, n = J2a.shape
@@ -202,7 +203,21 @@ def slater_direction(J1, J2_active, iter_cap=50000):
         raise EstimationFailureError("Slater normal matrix is not finite") from exc
     w = PA @ result.lam
     margin = float(np.min(J2a @ w))
+    bound = SLATER_BOX_BOUND
     # compared before dividing, so a tiny margin cannot overflow phi
-    if margin > 0.0 and np.max(np.abs(w)) <= SLATER_BOX_BOUND * margin:
+    if margin > 0.0 and np.max(np.abs(w)) <= bound * margin:
         return 0.0 - w / margin, True  # 0.0 - keeps -0.0 out of the report
-    return np.zeros(n), result.converged
+    if bound * np.sum(np.abs(w)) < 1.0:  # a direction has 1 <= -w.phi <= |w|_1 bound
+        return np.zeros(n), True
+    # The box itself: y = (phi, s) with (P a_i, 1/bound).y < 0 and
+    # (+-P e_j, -1).y < 0 exists iff the min-norm point v of these rows is
+    # nonzero (unit rows, same answer); then y = -v and phi = bound y_phi / y_s.
+    P = np.eye(n) - Q @ Q.T
+    R = np.vstack([np.column_stack([PA.T, np.full(a, 1.0 / bound)]),
+                   np.column_stack([P, -np.ones(n)]), np.column_stack([-P, -np.ones(n)])])
+    R /= np.linalg.norm(R, axis=1, keepdims=True)
+    box = solve_structured_ls(R.T, iter_cap=iter_cap)
+    v = R.T @ box.lam
+    if np.min(R @ v) > 0.0:
+        return 0.0 + np.clip(bound * v[:n] / v[n], -bound, bound), True
+    return np.zeros(n), box.converged

@@ -40,6 +40,17 @@ def test_analyze_writes_the_slater_direction_without_negative_zero(p3_file, caps
     assert '"slater_direction": [0.0, 1.0]' in out
 
 
+def test_analyze_finds_the_slater_direction_at_the_box_edge(tmp_path, capsys):
+    path = tmp_path / "edge.prob"
+    path.write_text("dim 2\nobjective -0.0008 * x1 - 0.000331 * x2\n"
+                    "ineq 0.0008 * x1 + 0.000331 * x2\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0,0", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "stationary"
+    assert payload["cq"]["slater_ok"]
+
+
 def test_analyze_not_stationary_exit_three(p3_file, capsys):
     code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,1", "--json")
     assert code == 3

@@ -68,6 +68,16 @@ def test_slater_direction_for_rows_of_very_different_scale():
     assert np.all(report.certificate.z2 >= 0.0)
 
 
+def test_slater_direction_at_the_box_edge():
+    # the min-norm direction leaves the box here, phi = (-1000, -1000) does not
+    prob = parse_problem("dim 2\nobjective -0.0008 * x1 - 0.000331 * x2\n"
+                         "ineq 0.0008 * x1 + 0.000331 * x2\n")
+    report = verify_stationarity(prob, [0.0, 0.0])
+    assert report.verdict == "stationary"
+    assert report.cq.slater_ok
+    assert np.max(np.abs(report.cq.slater_direction)) <= 1e3
+
+
 def test_cq_inactive_inequality_is_vacuous():
     prob = parse_problem(P3_TEXT)
     cq = check_constraint_qualification(prob, [0.0, 1.0])

@@ -191,6 +191,35 @@ def test_slater_direction_outside_the_box_is_rejected():
     np.testing.assert_array_equal(phi, np.zeros(1))
 
 
+def test_slater_direction_at_the_box_edge_is_found():
+    # the min-2-norm direction -a/|a|^2 has |phi_1| of about 1067, outside the
+    # box, but phi = (-1000, -1000) gives a.phi = -1.131
+    a = np.array([8e-4, 3.31e-4])
+    assert np.max(np.abs(a / a.dot(a))) > SLATER_BOX_BOUND
+    phi, converged = slater_direction(np.zeros((0, 2)), a.reshape(1, 2))
+    assert converged
+    assert a @ phi <= -1.0
+    assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
+
+
+def test_slater_direction_at_the_box_edge_with_equality_row():
+    # J1 = e_3 fixes phi_3 = 0; in the remaining plane the row is the one above
+    J1 = np.array([[0.0, 0.0, 1.0]])
+    J2a = np.array([[8e-4, 3.31e-4, 1.0]])
+    phi, converged = slater_direction(J1, J2a)
+    assert converged
+    assert abs(phi[2]) <= 1e-8
+    assert (J2a @ phi)[0] <= -1.0 + 1e-8
+    assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
+
+
+def test_slater_direction_just_past_the_box_edge_is_rejected():
+    # the best box direction (-1000, -1000) reaches only a.phi = -0.999
+    phi, converged = slater_direction(np.zeros((0, 2)), np.array([[5e-4, 4.99e-4]]))
+    assert converged
+    np.testing.assert_array_equal(phi, np.zeros(2))
+
+
 def test_slater_direction_is_certified_before_the_solve_converges():
     J2a = np.array([[1.0, 0.0], [0.0, 2.0]])
     phi, certified = slater_direction(np.zeros((0, 2)), J2a, iter_cap=1)
@@ -218,7 +247,10 @@ def test_slater_empty_active_set():
 def test_slater_direction_follows_gordans_alternative(n, m, a, negate, seed):
     # Either a direction certifies itself, or the hull of the projected active
     # rows (the grid oracle over conv{a_i} + range(J1^T)) reaches about 0.
-    # The grid's k = 3, m = 1 case takes tens of seconds, hence a + m <= 3.
+    # Rows this size put any direction deep inside the box, so this checks
+    # existence only; 2e-3 is the grid's own error, and the box limit is
+    # tested below.  The grid's k = 3, m = 1 case takes tens of seconds,
+    # hence a + m <= 3.
     assume(a + m <= 3)
     rng = np.random.default_rng(seed)
     # unit J1 rows and entries in [-1/2, 1/2] keep the grid's z1 within its box
@@ -235,6 +267,58 @@ def test_slater_direction_follows_gordans_alternative(n, m, a, negate, seed):
     elif converged:
         oracle = grid_min_residual(J2a.T, J1 if m else None)
         assert oracle <= 1.0 / SLATER_BOX_BOUND + 2e-3
+
+
+def grid_min_l1(J2a, J1=None, step=1e-3):
+    """Brute-force oracle: min |J2a^T lam + J1^T z1|_1 over a grid of lam in
+    the simplex (a <= 3) and z1 (m <= 1, unit row), with the grid's error bound.
+
+    By LP duality, min over phi in the box and null(J1) of max_i a_i.phi is
+    -SLATER_BOX_BOUND times this minimum: a direction with J2a phi < -1 exists
+    iff SLATER_BOX_BOUND * min > 1.
+    """
+    a = J2a.shape[0]
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    if a == 1:
+        lams = np.array([[1.0]])
+    elif a == 2:
+        lams = np.column_stack([ticks, 1.0 - ticks])
+    else:
+        a_grid, b_grid = np.meshgrid(ticks, ticks, indexing="ij")
+        mask = a_grid + b_grid <= 1.0 + 1e-12
+        lams = np.column_stack([a_grid[mask], b_grid[mask], 1.0 - a_grid[mask] - b_grid[mask]])
+    points = lams @ J2a
+    row_l1 = float(np.max(np.sum(np.abs(J2a), axis=1)))
+    error = 4.0 * step * row_l1  # any lam is within 4 step (l1) of a grid lam
+    if J1 is None:
+        return float(np.min(np.sum(np.abs(points), axis=1))), error
+    # the optimal z1 has |z1| <= 2 |J2a^T lam|_1 / |J1|_1 <= 2 row_l1
+    z_step = 2.0 * row_l1 * step
+    row = J1[0]
+    best = min(float(np.min(np.sum(np.abs(points + z1 * row), axis=1)))
+               for z1 in np.arange(-2.0 * row_l1, 2.0 * row_l1 + z_step / 2, z_step))
+    return best, error + z_step / 2 * float(np.sum(np.abs(row)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 3), st.floats(-3.5, -2.5),
+       st.integers(0, 2**32 - 1))
+def test_slater_direction_decides_the_box(n, m, a, log_scale, seed):
+    # Rows of size about 1e-3 put the directions near the box edge, where the
+    # min-norm direction can leave a box that still holds another direction.
+    assume(a + m <= 3)
+    rng = np.random.default_rng(seed)
+    J1 = rng.uniform(-1.0, 1.0, size=(m, n))
+    J1 /= np.linalg.norm(J1, axis=1, keepdims=True)
+    J2a = rng.uniform(-1.0, 1.0, size=(a, n)) * 10.0 ** log_scale
+    phi, converged = slater_direction(J1, J2a)
+    if phi.any():
+        assert np.all(np.abs(J1 @ phi) <= 1e-8)
+        assert np.all(J2a @ phi <= -1.0 + 1e-8)
+        assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
+    elif converged:
+        oracle, error = grid_min_l1(J2a, J1 if m else None)
+        assert SLATER_BOX_BOUND * (oracle - error) <= 1.0
 
 
 # --- bitwise oracle: the plain projected-gradient loop ------------------------
