@@ -27,7 +27,6 @@ from .kkt import (
     StationarityReport,
     check_constraint_qualification,
     jacobians,
-    recover_multipliers,
     verify_stationarity,
 )
 from .problem import (
@@ -63,7 +62,6 @@ __all__ = [
     "StationarityReport",
     "check_constraint_qualification",
     "jacobians",
-    "recover_multipliers",
     "verify_stationarity",
     "ProblemDefinition",
     "eval_constraints",

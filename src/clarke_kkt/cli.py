@@ -8,6 +8,10 @@ Commands and the options each one reads (all take --json):
     check-properties <file> --at .. estimator property checks at a point
                                     --seed --levels --samples --eps-sub
 
+A point may start with '-' after a space (`--at -1,1`) when the option is
+spelled out in full; an abbreviation of --at takes such a point only
+after `=`.
+
 Without --seed the seed comes from $CLARKE_KKT_SEED, else 42; either must
 be a nonnegative integer.  A command rejects an option it does not read,
 float options must be finite, --eps-stat, --active-tol and --eps-sub must be
@@ -35,6 +39,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -340,8 +345,25 @@ def build_parser():
     return parser
 
 
+def _join_point_values(argv):
+    """argv with `--at -1,1` joined into `--at=-1,1`.
+
+    argparse reads a token such as -1,1 or -1e-3 as an unknown option rather
+    than as the value of --at.  No option starts with '-' and a digit or '.',
+    so such a token right after --at is the point.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--at" and re.match(r"-[\d.]", token):
+            joined[-1] = "--at=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_point_values(argv))
     try:
         if args.seed is None:
             args.seed = _env_seed()

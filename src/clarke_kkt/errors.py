@@ -28,4 +28,4 @@ class EstimationFailureError(ClarkeKKTError):
 
 
 class CQIndeterminateError(ClarkeKKTError):
-    """Raised when the constraint-qualification LP solve does not converge."""
+    """Raised when the Slater solve of the constraint-qualification check does not converge."""

@@ -11,13 +11,13 @@ sampled subdifferential; z2 is structurally zero off the active set.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
+from .gendir import GenDirConfig
 from .problem import (
     ProblemDefinition,
     as_point,
@@ -27,7 +27,7 @@ from .problem import (
     finite_diff_gradient_expr,
 )
 from .solver import slater_direction, solve_structured_ls
-from .subdiff import SubdifferentialApprox, sample_subdifferential
+from .subdiff import sample_subdifferential
 
 DEFAULT_ACTIVE_TOL = 1e-6
 DEFAULT_EPS_STAT = 1e-2
@@ -126,9 +126,8 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     min-norm point of the projected active rows (Gordan's alternative), and
     when that direction leaves the box, from the box problem itself.  An
     unconverged solve that yields no direction raises CQIndeterminateError.
-    Empty active set makes the check vacuous.
-    A non-finite Jacobian entry (a constraint whose stencil overflows) raises
-    EstimationFailureError.
+    Empty active set makes the check vacuous.  A non-finite Jacobian entry
+    (a constraint whose stencil overflows) raises EstimationFailureError.
     """
     u0 = as_point(u0, prob.n)
     J1, J2 = jacobians(prob, u0)
@@ -136,14 +135,13 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
         raise EstimationFailureError("non-finite constraint Jacobian at the point")
     if prob.m > 0:
         svals = np.linalg.svd(J1, compute_uv=False)
-        smax = float(svals[0]) if svals.size else 0.0
-        rank = int(np.sum(svals > 1e-8 * smax * max(prob.m, prob.n)))
+        rank = int(np.sum(svals > 1e-8 * float(svals[0]) * max(prob.m, prob.n)))
     else:
         rank = 0
     j1_onto = rank == prob.m
     _, ineq_values = eval_constraints(prob, u0)
     active = tuple(i for i in range(prob.p) if ineq_values[i] >= -active_tol)
-    if prob.p == 0 or not active:
+    if not active:
         return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, (J1, J2))
     phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
@@ -155,42 +153,15 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
                                          active, (J1, J2))
 
 
-def recover_multipliers(prob: ProblemDefinition, u0, sd: SubdifferentialApprox,
-                        J1, J2, active_set, stop_above=math.inf) -> MultiplierCertificate:
-    """Best multiplier certificate over the sampled subdifferential hull.
-
-    Minimizes ||G lam + J1^T z1 + J2^T z2|| with lam on the simplex, z1
-    free, z2 >= 0 and structurally zero off the active set; slackness is
-    computed exactly from z2 and the inequality values at u0.  The solve
-    stops once its residual_lower_bound proves the minimum residual exceeds
-    stop_above (see solve_structured_ls).
-    """
-    u0 = as_point(u0, prob.n)
-    G = np.asarray(sd.points, dtype=float).T  # n x k
-    if G.shape[1] < 1:
-        raise ValueError("empty subdifferential sample")
-    active_set = tuple(active_set)
-    J2a = np.asarray(J2, dtype=float).reshape(prob.p, prob.n)[list(active_set)]
-    result = solve_structured_ls(G, J1, J2a, stop_above=stop_above)
-    z2 = np.zeros(prob.p)
-    z2[list(active_set)] = result.z2_active
-    u_star = G @ result.lam
-    J1 = np.asarray(J1, dtype=float).reshape(prob.m, prob.n)
-    J2 = np.asarray(J2, dtype=float).reshape(prob.p, prob.n)
-    residual = float(np.linalg.norm(u_star + J1.T @ result.z1 + J2.T @ z2))
-    _, ineq_values = eval_constraints(prob, u0)
-    slackness = float(ineq_values @ z2) if prob.p else 0.0
-    return MultiplierCertificate(u_star, result.lam, result.z1, z2, residual, slackness,
-                                 result.converged, result.lower_bound)
-
-
 def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
-                        active_tol=DEFAULT_ACTIVE_TOL, seed=42, sd_radius=None,
+                        active_tol=DEFAULT_ACTIVE_TOL, seed=GenDirConfig.seed, sd_radius=None,
                         sd_count=None) -> StationarityReport:
     """Full pipeline: feasibility, constraint qualification, subdifferential
     sampling, multiplier recovery, verdict.
 
     Equality-only problems skip the Slater check (it is vacuous for them).
+    The multiplier solve stops once its residual_lower_bound proves the
+    residual exceeds eps_stat (see solve_structured_ls).
     An objective or constraint that is undefined (a domain error) or
     non-finite at u0 is a feasibility-stage error.
     A stage failure is recorded in the report, never silently dropped.
@@ -200,7 +171,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     try:
         eq_values, ineq_values = eval_constraints(prob, u0)
         eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
-        max_viol = float(np.max(ineq_values, initial=-np.inf)) if prob.p else -np.inf
+        max_viol = float(np.max(ineq_values, initial=-np.inf))
         feasibility = (eq_norm, max_viol)
         objective_value = eval_objective(prob, u0)
     except EvaluationDomainError as exc:
@@ -211,7 +182,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
         if not np.all(np.isfinite(values)):
             return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
                                       message=f"non-finite {kind} value at the point")
-    if eq_norm > FEAS_TOL or (prob.p and max_viol > FEAS_TOL):
+    if eq_norm > FEAS_TOL or max_viol > FEAS_TOL:
         return StationarityReport(feasibility, None, None, "infeasible")
     try:
         cq = check_constraint_qualification(prob, u0, active_tol=active_tol)
@@ -220,12 +191,21 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
                                   failed_stage="constraint_qualification", message=str(exc))
     if not cq.j1_onto or not cq.slater_ok:
         return StationarityReport(feasibility, cq, None, "cq_failed")
+    J1, J2 = cq.jacobians
+    active = list(cq.active_set)
     try:
-        sd = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
-        certificate = recover_multipliers(prob, u0, sd, *cq.jacobians, cq.active_set,
-                                          stop_above=eps_stat)
+        sample = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
+        G = sample.points.T  # n x k, the sampled gradients
+        result = solve_structured_ls(G, J1, J2[active], stop_above=eps_stat)
     except ClarkeKKTError as exc:
         return StationarityReport(feasibility, cq, None, "error",
                                   failed_stage="multiplier_recovery", message=str(exc))
-    verdict = "stationary" if certificate.residual <= eps_stat else "not_stationary"
+    z2 = np.zeros(prob.p)
+    z2[active] = result.z2_active
+    u_star = G @ result.lam
+    residual = float(np.linalg.norm(u_star + J1.T @ result.z1 + J2.T @ z2))
+    slackness = float(ineq_values @ z2)
+    certificate = MultiplierCertificate(u_star, result.lam, result.z1, z2, residual, slackness,
+                                        result.converged, result.lower_bound)
+    verdict = "stationary" if residual <= eps_stat else "not_stationary"
     return StationarityReport(feasibility, cq, certificate, verdict)

@@ -36,7 +36,8 @@ def default_radius(u) -> float:
     return 1e-3 * (1.0 + float(np.max(np.abs(u), initial=0.0)))
 
 
-def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None, seed=42) -> SubdifferentialApprox:
+def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
+                           seed=GenDirConfig.seed) -> SubdifferentialApprox:
     """Gradients at k random points in the ball around u (u itself always included).
 
     Every evaluation point passes through the one-shot kink-avoidance rule,

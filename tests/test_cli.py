@@ -81,6 +81,34 @@ def test_analyze_wrong_point_dimension_exit_two(p3_file, capsys):
     assert code == 2
 
 
+def test_analyze_negative_point_after_a_space(tmp_path, capsys):
+    # argparse alone reads -1,1 as an unknown option and stops at --at
+    path = tmp_path / "p2.prob"
+    path.write_text("name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n", encoding="utf-8")
+    spaced = run_cli(capsys, "analyze", str(path), "--at", "-1,1", "--json")
+    joined = run_cli(capsys, "analyze", str(path), "--at=-1,1", "--json")
+    assert spaced[0] == joined[0] == 3
+    assert json.loads(spaced[1])["point"] == [-1.0, 1.0]
+    assert _without_timings(spaced[1]) == _without_timings(joined[1])
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-properties"])
+def test_negative_exponent_point_after_a_space(command, tmp_path, capsys):
+    path = tmp_path / "abs.prob"
+    path.write_text("dim 1\nobjective abs(x1)\n", encoding="utf-8")
+    code, out = run_cli(capsys, command, str(path), "--at", "-1e-3", "--json")
+    assert code == 0
+    assert json.loads(out)["point"] == [-1e-3]
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-properties"])
+def test_missing_point_value_exit_two(command, p3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, p3_file, "--at", "--json"])
+    assert exc.value.code == 2
+    assert "argument --at: expected one argument" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(p3_file, capsys, monkeypatch):
     monkeypatch.setenv("CLARKE_KKT_SEED", "7")
     code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,0", "--json")

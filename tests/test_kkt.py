@@ -1,16 +1,10 @@
-"""Jacobians, constraint qualification, multiplier recovery, verdicts."""
+"""Jacobians, constraint qualification, multiplier certificates, verdicts."""
 import numpy as np
 import pytest
 
 from clarke_kkt import kkt
-from clarke_kkt.kkt import (
-    check_constraint_qualification,
-    jacobians,
-    recover_multipliers,
-    verify_stationarity,
-)
+from clarke_kkt.kkt import check_constraint_qualification, jacobians, verify_stationarity
 from clarke_kkt.problem import parse_problem
-from clarke_kkt.subdiff import sample_subdifferential
 
 P2_TEXT = "name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n"
 P3_TEXT = "name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n"
@@ -85,14 +79,11 @@ def test_cq_inactive_inequality_is_vacuous():
     assert cq.slater_ok
 
 
-# --- multiplier recovery ----------------------------------------------------
+# --- multiplier certificates -------------------------------------------------
 
 def test_recover_p2():
     prob = parse_problem(P2_TEXT)
-    u0 = np.zeros(2)
-    sd = sample_subdifferential(prob, u0, seed=42)
-    J1, J2 = jacobians(prob, u0)
-    cert = recover_multipliers(prob, u0, sd, J1, J2, ())
+    cert = verify_stationarity(prob, np.zeros(2), seed=42).certificate
     assert cert.residual <= 1e-3
     assert cert.z1[0] == pytest.approx(-0.5, abs=0.05)
     np.testing.assert_allclose(cert.u_star, [0.5, 0.5], atol=0.05)
@@ -100,10 +91,9 @@ def test_recover_p2():
 
 def test_recover_p3():
     prob = parse_problem(P3_TEXT)
-    u0 = np.zeros(2)
-    sd = sample_subdifferential(prob, u0, seed=42)
-    J1, J2 = jacobians(prob, u0)
-    cert = recover_multipliers(prob, u0, sd, J1, J2, (0,))
+    report = verify_stationarity(prob, np.zeros(2), seed=42)
+    cert = report.certificate
+    assert report.cq.active_set == (0,)
     assert cert.residual <= 1e-3
     assert cert.z2[0] == pytest.approx(1.0, abs=0.05)
     assert cert.slackness == 0.0
@@ -112,22 +102,19 @@ def test_recover_p3():
 
 def test_recover_unconstrained_abs_off_kink():
     prob = parse_problem("dim 1\nobjective abs(x1)")
-    u0 = np.array([0.5])
-    sd = sample_subdifferential(prob, u0, seed=42)
-    J1, J2 = jacobians(prob, u0)
-    cert = recover_multipliers(prob, u0, sd, J1, J2, ())
+    cert = verify_stationarity(prob, np.array([0.5]), seed=42).certificate
     assert cert.residual == pytest.approx(1.0, abs=0.05)
 
 
 def test_certificate_invariants():
     prob = parse_problem(P3_TEXT)
-    u0 = np.zeros(2)
-    sd = sample_subdifferential(prob, u0, seed=1)
-    J1, J2 = jacobians(prob, u0)
-    cert = recover_multipliers(prob, u0, sd, J1, J2, (0,))
+    report = verify_stationarity(prob, np.zeros(2), seed=1)
+    cert = report.certificate
+    assert report.cq.active_set == (0,)
     assert np.all(cert.lam >= -1e-12)
     assert abs(cert.lam.sum() - 1.0) <= 1e-12
     assert cert.residual >= 0.0
+    assert cert.residual_lower_bound <= cert.residual
 
 
 # --- verdicts ---------------------------------------------------------------
@@ -248,7 +235,7 @@ def test_not_stationary_is_proven_early(family, n, monkeypatch):
     cert = report.certificate
     assert report.verdict == "not_stationary"
     assert solve.iterations <= 5000
-    assert cert.residual_lower_bound > kkt.DEFAULT_EPS_STAT
+    assert kkt.DEFAULT_EPS_STAT < cert.residual_lower_bound <= cert.residual
     assert cert.residual <= 1.001 * cert.residual_lower_bound
     assert cert.residual >= 0.8 * floor
 
