@@ -16,8 +16,12 @@ import numpy as np
 
 from . import sampling
 from .errors import EstimationFailureError
-from .problem import BLOCK_FLOATS, ProblemDefinition, as_point, eval_objective_batch
+from .problem import ProblemDefinition, as_point, eval_objective_batch
 
+# Most floats of points evaluated in one batched call; a block holds at least
+# one direction's stepped points, so a call never needs more memory than one
+# direction.
+BLOCK_FLOATS = 1 << 15
 BASE_RADIUS = 0.1
 BASE_STEP = 0.1
 DECAY = 0.5

@@ -18,14 +18,8 @@ import numpy as np
 
 from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
 from .gendir import GenDirConfig
-from .problem import (
-    ProblemDefinition,
-    as_point,
-    default_step,
-    eval_constraints,
-    eval_objective,
-    finite_diff_gradient_expr,
-)
+from .expressions import evaluate_with_gradient
+from .problem import ProblemDefinition, as_point, eval_constraints, eval_objective
 from .solver import slater_direction, solve_structured_ls
 from .subdiff import sample_subdifferential
 
@@ -105,15 +99,16 @@ class StationarityReport:
 
 
 def jacobians(prob: ProblemDefinition, u):
-    """(J1, J2): finite-difference Jacobians of the equality and inequality maps."""
-    u = as_point(u, prob.n)
-    h = default_step(u)
+    """(J1, J2): exact Jacobians of the equality and inequality maps at u,
+    each row the gradient of its constraint's expression tree (tie rules as
+    in evaluate_with_gradient)."""
+    u = as_point(u, prob.n)[None]
     J1 = np.zeros((prob.m, prob.n))
     J2 = np.zeros((prob.p, prob.n))
     for i, expr in enumerate(prob.eq):
-        J1[i] = finite_diff_gradient_expr(expr, u, h)
+        J1[i] = evaluate_with_gradient(expr, u)[1][0]
     for i, expr in enumerate(prob.ineq):
-        J2[i] = finite_diff_gradient_expr(expr, u, h)
+        J2[i] = evaluate_with_gradient(expr, u)[1][0]
     return J1, J2
 
 
@@ -127,7 +122,7 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     when that direction leaves the box, from the box problem itself.  An
     unconverged solve that yields no direction raises CQIndeterminateError.
     Empty active set makes the check vacuous.  A non-finite Jacobian entry
-    (a constraint whose stencil overflows) raises EstimationFailureError.
+    (a constraint whose derivative overflows) raises EstimationFailureError.
     """
     u0 = as_point(u0, prob.n)
     J1, J2 = jacobians(prob, u0)

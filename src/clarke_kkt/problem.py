@@ -1,4 +1,4 @@
-"""Problem definitions, evaluation, and finite differences.
+"""Problem definitions and their evaluation, with exact gradients.
 
 A problem file is line-oriented UTF-8; '#' starts a comment.  Lines:
 
@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProblemParseError
-from .expressions import Expression, evaluate, max_var_index, parse_expression, to_text
-
-KINK_TOL = 1e-3
-
-# Most floats of points evaluated in one batched call; a block holds at least
-# one unit of work (a stencil, a direction's stepped points), so a call never
-# needs more memory than one unit.
-BLOCK_FLOATS = 1 << 15
+from .expressions import (
+    Expression,
+    evaluate,
+    evaluate_with_gradient,
+    max_var_index,
+    parse_expression,
+    to_text,
+)
 
 
 @dataclass(frozen=True)
@@ -154,109 +154,28 @@ def eval_constraints(prob: ProblemDefinition, u):
     return eq_values, ineq_values
 
 
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
+def objective_gradient(prob: ProblemDefinition, u) -> np.ndarray:
+    """Exact gradient of the objective at u, from its expression tree.
 
-def default_step(u) -> float:
-    u = np.asarray(u, dtype=float)
-    return 1e-6 * (1.0 + float(np.max(np.abs(u), initial=0.0)))
-
-
-def _stencil(points, h, n):
-    """(..., 2n, n): each point + h*e_j, then each point - h*e_j."""
-    eye = np.eye(n) * h
-    return np.concatenate([points[..., None, :] + eye, points[..., None, :] - eye], axis=-2)
-
-
-def _central_difference(values, h, n):
-    """Gradients from the objective's values on _stencil(points, h, n).
-
-    Overflow gives inf or nan without a numpy warning; callers check the
-    gradients for finiteness.
+    At a kink it is the gradient of the piece that the tie rules of
+    evaluate_with_gradient pick.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (values[..., :n] - values[..., n:]) / (2.0 * h)
-
-
-def _kink_stencil(points, h, n):
-    """(rows, 2n+1, n): each point itself, then its _stencil.
-
-    The point is taken as it is, not as point + 0.0, which would turn -0.0
-    into +0.0.
-    """
-    return np.concatenate([points[:, None, :], _stencil(points, h, n)], axis=1)
-
-
-def _kink_mismatches(values, h, n):
-    """Per row, max over coordinates of |forward - backward quotient|, from
-    the objective's values on _kink_stencil(points, h, n)."""
-    f0 = values[:, :1]
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check the gradients
-        fwd = (values[:, 1:n + 1] - f0) / h
-        bwd = (f0 - values[:, n + 1:]) / h
-        return np.max(np.abs(fwd - bwd), axis=1)
+    u = as_point(u, prob.n)
+    return evaluate_with_gradient(prob.objective, u[None])[1][0]
 
 
 def finite_diff_gradient(prob: ProblemDefinition, u, h=None) -> np.ndarray:
-    """Central-difference gradient of the objective, step h per coordinate."""
+    """Central-difference gradient of the objective, step h per coordinate.
+
+    Not used by the pipeline, which takes exact gradients from the tree; it
+    is an independent check on them.
+    """
     u = as_point(u, prob.n)
     if h is None:
-        h = default_step(u)
+        h = 1e-6 * (1.0 + float(np.max(np.abs(u), initial=0.0)))
     if h <= 0:
         raise ValueError("step must be positive")
-    return finite_diff_gradient_expr(prob.objective, u, h)
-
-
-def finite_diff_gradient_expr(expr: Expression, u: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of one expression at the point u, step h per coordinate."""
-    n = u.size
-    return _central_difference(np.asarray(evaluate(expr, _stencil(u, h, n)), dtype=float), h, n)
-
-
-def kink_avoiding_gradient(prob: ProblemDefinition, u, h):
-    """Gradient sample with one-shot kink avoidance; kink_avoiding_gradients
-    on the single point u.  Returns (gradient, point_used)."""
-    u = as_point(u, prob.n)
-    gradients, points_used = kink_avoiding_gradients(prob, u[None], h)
-    return gradients[0], points_used[0]
-
-
-def kink_avoiding_gradients(prob: ProblemDefinition, points, h):
-    """Gradient samples with one-shot kink avoidance at each row of points.
-
-    A point whose forward/backward quotients disagree by more than KINK_TOL
-    is shifted by +h along the first coordinate and its central difference
-    is taken there; otherwise the gradient comes from the stencil values
-    the kink test already evaluated.  Phase 1 evaluates the kink stencils
-    of all points, phase 2 the stencils of the shifted ones, each in blocks
-    of at most BLOCK_FLOATS floats (one stencil at least).  Every row is
-    bitwise equal to what its point alone gives.  Returns (gradients,
-    points_used), both of shape (k, n).
-    """
-    n = prob.n
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != n:
-        raise ValueError(f"points have shape {points.shape}, expected (k, {n})")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("point has non-finite coordinates")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    gradients = np.empty(points.shape)
-    shift = np.empty(len(points), dtype=bool)
-    rows = max(1, BLOCK_FLOATS // ((2 * n + 1) * n))
-    for start in range(0, len(points), rows):
-        block = slice(start, start + rows)
-        values = eval_objective_batch(prob, _kink_stencil(points[block], h, n))
-        shift[block] = _kink_mismatches(values, h, n) > KINK_TOL
-        keep = ~shift[block]
-        gradients[block][keep] = _central_difference(values[keep, 1:], h, n)
-    shifted = np.flatnonzero(shift)
-    points_used = points.copy()
-    points_used[shifted, 0] += h
-    rows = max(1, BLOCK_FLOATS // (2 * n * n))
-    for start in range(0, len(shifted), rows):
-        block = shifted[start:start + rows]
-        values = eval_objective_batch(prob, _stencil(points_used[block], h, n))
-        gradients[block] = _central_difference(values, h, n)
-    return gradients, points_used
+    eye = np.eye(prob.n) * h
+    values = eval_objective_batch(prob, np.concatenate([u + eye, u - eye]))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for finiteness
+        return (values[:prob.n] - values[prob.n:]) / (2.0 * h)

@@ -3,7 +3,7 @@
 One solver, two uses.  solve_structured_ls minimizes a structured
 least-squares program over simplex x free x nonnegative blocks; it is convex
 with a Lipschitz gradient, and the constant step 1/L with L from power
-iteration guarantees a non-increasing objective.  The multipliers are its
+iteration (exact for one column) guarantees a non-increasing objective.  The multipliers are its
 minimizer over the sampled subdifferential.  slater_direction calls it on the
 active inequality rows a_i projected off range(J1^T): by Gordan's alternative
 a strictly feasible direction exists iff the min-norm point w of that hull is
@@ -62,9 +62,22 @@ def project_simplex(v) -> np.ndarray:
 
 
 def spectral_upper_step(H) -> float:
-    """1 / lambda_max(H) via 100 power-iteration steps; 0.0 for a zero matrix."""
+    """1 / lambda_max(H) for a positive semidefinite H; 0.0 for a zero matrix.
+
+    A 1 x 1 H is its own eigenvalue.  A larger one runs 100 power-iteration
+    steps on H scaled by a power of two, so that w.w cannot overflow; the
+    scaling is exact, so the step equals the unscaled iteration's wherever
+    that one does not overflow.
+    """
     H = np.asarray(H, dtype=float)
     d = H.shape[0]
+    top = float(np.max(np.abs(H)))
+    if top == 0.0:
+        return 0.0
+    if d == 1:
+        return 1.0 / top
+    exponent = math.frexp(top)[1]
+    H = np.ldexp(H, -exponent)
     # fixed pseudo-random start: almost surely not orthogonal to the top eigenspace
     v = np.random.default_rng(0).standard_normal(d)
     v /= math.sqrt(v.dot(v))
@@ -76,7 +89,7 @@ def spectral_upper_step(H) -> float:
             return 0.0
         lam = nrm
         v = w / nrm
-    return 1.0 / lam
+    return math.ldexp(1.0 / lam, -exponent)
 
 
 def _dual_lower_bound(Q, PG, PC, r):

@@ -1,7 +1,9 @@
 """Sampled approximation of the generalized subgradient set.
 
-The set is represented by finitely many finite-difference gradients taken
-at random points near u; its convex hull is implicit in the point list.
+The set is represented by finitely many exact gradients, taken from the
+objective's expression tree at random points near u (gradient sampling,
+Burke, Lewis and Overton 2005); its convex hull is implicit in the point
+list.
 Membership of a candidate vector is tested against the defining support
 inequality <phi, g> <= H(phi) over a finite direction set.
 """
@@ -14,12 +16,13 @@ import numpy as np
 from . import sampling
 from .errors import EstimationFailureError
 from .gendir import GenDirConfig, estimate_gen_dir_derivs
-from .problem import ProblemDefinition, as_point, kink_avoiding_gradients
+from .expressions import evaluate_with_gradient
+from .problem import ProblemDefinition, as_point
 
 # Not called here: the benchmark's tracer patches these two names on this
 # module, so they stay importable from subdiff.
 from .gendir import estimate_gen_dir_deriv  # noqa: F401
-from .problem import kink_avoiding_gradient  # noqa: F401
+from .problem import objective_gradient as kink_avoiding_gradient  # noqa: F401
 
 EPS_MEM = 0.05
 
@@ -40,9 +43,8 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
                            seed=GenDirConfig.seed) -> SubdifferentialApprox:
     """Gradients at k random points in the ball around u (u itself always included).
 
-    Every evaluation point passes through the one-shot kink-avoidance rule,
-    all points in one kink_avoiding_gradients call; the finite-difference
-    step is radius / 100.
+    All points go through one evaluate_with_gradient call; a sampled point
+    that lies exactly on a kink takes the gradient its tie rules pick.
     """
     u = as_point(u, prob.n)
     if radius is None:
@@ -55,7 +57,7 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
         raise ValueError("need at least one sample")
     points = [u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)
                     for i in range(1, k)]
-    gradients, _ = kink_avoiding_gradients(prob, np.array(points), radius / 100.0)
+    _, gradients = evaluate_with_gradient(prob.objective, np.array(points))
     if not np.all(np.isfinite(gradients)):
         raise EstimationFailureError("non-finite sampled gradient")
     return SubdifferentialApprox(points=gradients)

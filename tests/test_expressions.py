@@ -1,7 +1,9 @@
 """Parser, printer, and evaluation tests for the expression language."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from clarke_kkt.errors import EvaluationDomainError, ProblemParseError
 from clarke_kkt.expressions import (
@@ -9,9 +11,12 @@ from clarke_kkt.expressions import (
     BinOp,
     Const,
     MaxOp,
+    MinOp,
+    Neg,
     PowOp,
     Var,
     evaluate,
+    evaluate_with_gradient,
     parse_expression,
     to_text,
 )
@@ -114,16 +119,103 @@ def _branch(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*"), children, children).map(lambda t: BinOp(*t)),
         children.map(Abs),
+        children.map(Neg),
         st.tuples(children, children).map(lambda t: MaxOp(*t)),
+        st.tuples(children, children).map(lambda t: MinOp(*t)),
         st.tuples(children, st.integers(0, 4)).map(lambda t: PowOp(*t)),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(_leaf, _branch, max_leaves=12))
+@example(Neg(Const(-0.0)))  # prints as -(-0.0), not as --0.0
 def test_round_trip_evaluates_bitwise_identically(tree):
     # division is excluded from generation so evaluation is total
     reparsed = parse_expression(to_text(tree))
     rng = np.random.default_rng(0)
     points = rng.uniform(-5, 5, size=(100, 3))
     np.testing.assert_array_equal(evaluate(tree, points), evaluate(reparsed, points))
+
+
+def _exact(expr, point):
+    """expr at a point of Fractions, in exact rational arithmetic (no division)."""
+    if isinstance(expr, Const):
+        return Fraction(expr.value)
+    if isinstance(expr, Var):
+        return point[expr.index - 1]
+    if isinstance(expr, Neg):
+        return -_exact(expr.operand, point)
+    if isinstance(expr, Abs):
+        return abs(_exact(expr.operand, point))
+    if isinstance(expr, PowOp):
+        return _exact(expr.base, point) ** expr.exponent
+    left, right = _exact(expr.left, point), _exact(expr.right, point)
+    if isinstance(expr, MaxOp):
+        return max(left, right)
+    if isinstance(expr, MinOp):
+        return min(left, right)
+    return {"+": left + right, "-": left - right, "*": left * right}[expr.op]
+
+
+def _degree(expr):
+    """Degree bound of the polynomial pieces of expr."""
+    if isinstance(expr, Const):
+        return 0
+    if isinstance(expr, Var):
+        return 1
+    if isinstance(expr, (Neg, Abs)):
+        return _degree(expr.operand)
+    if isinstance(expr, PowOp):
+        return _degree(expr.base) * expr.exponent
+    if isinstance(expr, BinOp) and expr.op == "*":
+        return _degree(expr.left) + _degree(expr.right)
+    return max(_degree(expr.left), _degree(expr.right))
+
+
+def test_gradient_input_checks():
+    expr = parse_expression("abs(x1) + x2")
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_with_gradient(expr, [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_with_gradient(expr, [[1.0, np.nan]])
+    values, gradients = evaluate_with_gradient(expr, np.zeros((0, 2)))
+    assert values.shape == (0,) and gradients.shape == (0, 2)
+
+
+def test_gradient_of_a_quotient_and_its_pole():
+    expr = parse_expression("x1 / x2")
+    values, gradients = evaluate_with_gradient(expr, [[3.0, 2.0]])
+    assert values.tolist() == [1.5]
+    assert gradients.tolist() == [[0.5, -0.75]]
+    with pytest.raises(EvaluationDomainError):
+        evaluate_with_gradient(expr, [[3.0, 2.0], [1.0, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf, _branch, max_leaves=12))
+def test_gradients_are_exact(tree):
+    assume(_degree(tree) <= 64)  # keeps the exact arithmetic small
+    points = np.random.default_rng(0).uniform(-5, 5, size=(6, 3))
+    values, gradients = evaluate_with_gradient(tree, points)
+    assert values.tobytes() == evaluate(tree, points).tobytes()
+    for i in range(len(points)):
+        row_values, row_gradients = evaluate_with_gradient(tree, points[i:i + 1])
+        assert row_values.tobytes() == values[i:i + 1].tobytes()
+        assert row_gradients.tobytes() == gradients[i:i + 1].tobytes()
+    # against exact central differences, in each coordinate where the
+    # forward and backward quotients agree (no kink within h of the point)
+    h = Fraction(1, 2 ** 30)
+    for point, value, gradient in zip(points, values, gradients):
+        if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
+            continue
+        exact = [Fraction(x) for x in point]
+        f0 = _exact(tree, exact)
+        for j, g in enumerate(gradient):
+            up, down = list(exact), list(exact)
+            up[j] += h
+            down[j] -= h
+            forward = (_exact(tree, up) - f0) / h
+            backward = (f0 - _exact(tree, down)) / h
+            tol = 1e-6 * (1.0 + abs(g))
+            if abs(float(forward - backward)) <= tol:
+                assert abs(g - float((forward + backward) / 2)) <= tol, (point, j)

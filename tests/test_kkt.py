@@ -186,9 +186,9 @@ def test_verdict_error_on_non_finite_constraint_value(text, kind):
 
 
 def test_non_finite_jacobian_is_cq_stage_error():
-    # finite at the point, but the stencil of x2**2 overflows: J2 = [[0, inf]]
-    prob = parse_problem("dim 2\nobjective abs(x1)\nineq pow(x2, 2) - 1.7976931348623157e308")
-    point = [0.0, 1.3407807929942596e154]
+    # finite at the point, but the derivative overflows: J2 = [[0, inf]]
+    prob = parse_problem("dim 2\nobjective abs(x1)\nineq 1e200 * (1e200 * x2)")
+    point = [0.0, 0.0]
     assert not np.all(np.isfinite(jacobians(prob, point)[1]))
     report = verify_stationarity(prob, point)
     assert report.verdict == "error"

@@ -1,14 +1,15 @@
-"""Problem files, evaluation oracles, finite differences."""
+"""Problem files, evaluation oracles, exact and finite-difference gradients."""
 import numpy as np
 import pytest
 
+from clarke_kkt import subdiff
 from clarke_kkt.errors import EvaluationDomainError, ProblemParseError
+from clarke_kkt.expressions import evaluate_with_gradient
 from clarke_kkt.problem import (
     eval_constraints,
     eval_objective,
     finite_diff_gradient,
-    kink_avoiding_gradient,
-    kink_avoiding_gradients,
+    objective_gradient,
     parse_problem,
     to_problem_text,
 )
@@ -129,36 +130,56 @@ def test_gradient_of_affine_equals_coefficients(h):
     np.testing.assert_allclose(g, [2.0, -3.0, 0.5], atol=1e-9)
 
 
-def test_kink_detection_and_avoidance():
-    prob = parse_problem("dim 1\nobjective abs(x1)")
-    h = 1e-5
-    _, used = kink_avoiding_gradient(prob, [0.5], h)
-    assert used[0] == 0.5
-    g, used = kink_avoiding_gradient(prob, [0.0], h)
-    assert used[0] == h
-    assert abs(g[0] - 1.0) < 1e-9
+TIES = [
+    ("abs(x1)", [0.5], [1.0]),
+    ("abs(x1)", [-0.5], [-1.0]),
+    ("abs(x1)", [0.0], [1.0]),
+    ("abs(x1)", [-0.0], [1.0]),
+    ("abs(-x1)", [0.0], [-1.0]),
+    ("max(x1, x2)", [0.0, 0.0], [1.0, 0.0]),
+    ("max(x2, x1)", [0.0, 0.0], [0.0, 1.0]),
+    ("max(x1, x2)", [0.0, 1.0], [0.0, 1.0]),
+    ("min(x1, x2)", [0.0, 0.0], [1.0, 0.0]),
+    ("min(x2, x1)", [0.0, 0.0], [0.0, 1.0]),
+    ("min(x1, x2)", [1.0, 0.0], [0.0, 1.0]),
+]
 
+
+def test_kink_detection_and_avoidance():
+    # at an exact tie abs takes slope +1 and max/min take the left branch;
+    # off the tie, the gradient of the active piece
+    for text, point, gradient in TIES:
+        prob = parse_problem(f"dim {len(point)}\nobjective {text}")
+        g = objective_gradient(prob, point)
+        assert g.tolist() == gradient, text
+        assert not np.signbit(g[g == 0.0]).any(), text  # no -0.0
 
 
 def test_kink_avoiding_gradient_equals_central_difference_at_point_used():
+    # the traced name subdiff.kink_avoiding_gradient is the exact one-point
+    # gradient: central differences off the kink, the tie rule on it
+    assert subdiff.kink_avoiding_gradient is objective_gradient
     prob = parse_problem("dim 2\nobjective abs(x1) + pow(x2, 3)")
-    h = 1e-5
-    for u, shifted in (([0.3, 0.2], False), ([0.0, 0.2], True)):
-        g, used = kink_avoiding_gradient(prob, u, h)
-        assert (not np.array_equal(used, u)) == shifted
-        assert g.tobytes() == finite_diff_gradient(prob, used, h).tobytes()
-    for h in (0.0, -1e-5):
-        with pytest.raises(ValueError):
-            kink_avoiding_gradient(prob, [0.3, 0.2], h)
+    u = [0.3, 0.2]
+    g = objective_gradient(prob, u)
+    assert g.tolist() == [1.0, 3 * 0.2 ** 2]
+    np.testing.assert_allclose(g, finite_diff_gradient(prob, u, 1e-5), rtol=1e-9)
+    assert objective_gradient(prob, [0.0, 0.2]).tolist() == [1.0, 3 * 0.2 ** 2]
+    with pytest.raises(ValueError, match="shape"):
+        objective_gradient(prob, [0.3])
 
 
 def test_kink_avoiding_gradients_checks_its_input_before_evaluating():
-    # a pole at 0: any evaluation would raise EvaluationDomainError
-    prob = parse_problem("dim 2\nobjective 1 / x1 + x2")
-    for h in (0.0, -1e-5):
-        with pytest.raises(ValueError, match="step"):
-            kink_avoiding_gradients(prob, np.zeros((3, 2)), h)
-    with pytest.raises(ValueError, match="shape"):
-        kink_avoiding_gradients(prob, np.zeros((3, 3)), 1e-5)
-    with pytest.raises(ValueError, match="non-finite"):
-        kink_avoiding_gradients(prob, [[1.0, 1.0], [np.inf, 1.0]], 1e-5)
+    # evaluate_with_gradient checks its points first: a pole at 0, where any
+    # evaluation would raise EvaluationDomainError
+    expr = parse_problem("dim 2\nobjective 1 / x1 + x2").objective
+    for points in (np.zeros(2), np.zeros((1, 3, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_with_gradient(expr, points)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_with_gradient(expr, [[0.0, 1.0], [bad, 1.0]])
+    with pytest.raises(EvaluationDomainError, match="division by zero"):
+        evaluate_with_gradient(expr, np.zeros((3, 2)))
+    with pytest.raises(EvaluationDomainError, match="out of range"):
+        evaluate_with_gradient(expr, np.ones((3, 1)))

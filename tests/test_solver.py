@@ -12,6 +12,7 @@ from clarke_kkt.solver import (
     project_simplex,
     slater_direction,
     solve_structured_ls,
+    spectral_upper_step,
 )
 
 
@@ -337,6 +338,25 @@ def _reference_upper_step(H):
         lam = nrm
         v = w / nrm
     return 1.0 / lam
+
+
+def test_one_column_step_is_the_loops_bitwise():
+    # a 1 x 1 H is its own eigenvalue; the 100 power steps gave the same bits
+    rng = np.random.default_rng(18)
+    for value in np.exp(rng.uniform(-300.0, 300.0, 2000)):
+        H = np.array([[value]])
+        assert spectral_upper_step(H) == _reference_upper_step(H)
+    assert spectral_upper_step(np.zeros((1, 1))) == 0.0
+
+
+def test_huge_finite_normal_matrix_keeps_its_step():
+    # H = 2 A^T A has entries near 1e155, so an unscaled w.w overflows, the
+    # step becomes 0 and the start point is returned after 0 iterations
+    result = solve_structured_ls(np.array([[1e77, 2e77]]))
+    assert result.lam.tolist() == [1.0, 0.0]
+    assert result.iterations > 0
+    assert result.converged
+    assert result.residual == 1e77
 
 
 # the reference loop keeps no dual bound, so it returns these fields only

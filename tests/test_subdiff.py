@@ -6,15 +6,9 @@ import pytest
 
 from clarke_kkt import sampling
 from clarke_kkt.errors import EvaluationDomainError
-from clarke_kkt.expressions import evaluate
+from clarke_kkt.expressions import evaluate_with_gradient
 from clarke_kkt.gendir import GenDirConfig
-from clarke_kkt.problem import (
-    BLOCK_FLOATS,
-    KINK_TOL,
-    finite_diff_gradient,
-    kink_avoiding_gradients,
-    parse_problem,
-)
+from clarke_kkt.problem import objective_gradient, parse_problem
 from clarke_kkt.subdiff import membership_test, sample_subdifferential
 
 ABS = parse_problem("dim 1\nobjective abs(x1)")
@@ -91,7 +85,7 @@ def test_sampled_gradients_are_members():
         assert member, f"gradient {g} rejected with gap {worst_gap}"
 
 
-# --- batched kink-avoiding gradients ------------------------------------------
+# --- exact gradients at the sampled points ------------------------------------
 
 def _sum_abs(n, last_plain=False):
     terms = [f"abs(x{i})" for i in range(1, n + 1)]
@@ -101,56 +95,47 @@ def _sum_abs(n, last_plain=False):
 
 
 @pytest.mark.parametrize("prob, digest", [
-    (_sum_abs(20), "ce49b62cdab0db0f5ce05af7cafeef37369b900f5a0c7e1776f7cc14d2cccb71"),
-    (_sum_abs(50, last_plain=True), "d3b5fe7166ff907538e5e5c6f141808d3fcd4bedc7a28eb1945e8b75f18a174c"),
+    (_sum_abs(20), "05c91f5d5ded142ba05cb2d09e8f98f4d51a505b3646fdeece4c2ea710d43ba3"),
+    (_sum_abs(50, last_plain=True), "96d5683f999c2dccd1563a1f39c90329c254ea3ea0ee487ddc7ee7edfdfb87e6"),
 ])
 def test_sampled_gradients_are_pinned(prob, digest):
-    # the bytes the one-point-at-a-time sampler gave before batching
     sd = sample_subdifferential(prob, np.zeros(prob.n), seed=42)
+    assert set(np.unique(sd.points)) <= {-1.0, 1.0}  # sign vectors: gradients of pieces
     assert hashlib.sha256(sd.points.tobytes()).hexdigest() == digest
 
 
-def _one_point_mismatch(prob, point, h):
-    """The kink test of the one-point rule: F at the 1-D point on its own."""
-    f0 = evaluate(prob.objective, point)
-    eye = np.eye(prob.n) * h
-    fwd = (evaluate(prob.objective, point[None, :] + eye) - f0) / h
-    bwd = (f0 - evaluate(prob.objective, point[None, :] - eye)) / h
-    return float(np.max(np.abs(fwd - bwd)))
+def _sampled_points(n, radius, seed=42):
+    u = np.zeros(n)
+    return np.array([u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)
+                           for i in range(1, 30 + 2 * n)])
 
 
 @pytest.mark.parametrize("n", [5, 50])
 def test_batch_rows_follow_the_one_point_rule(n):
+    # each row of the batched walk is bitwise what its point alone gives
     prob = _sum_abs(n, last_plain=True)
-    u = np.zeros(n)
-    radius = 1e-3
-    h = radius / 100.0
-    k = 30 + 2 * n
-    points = np.array([u] + [sampling.ball_point(sampling.substream(42, sampling.NS_SUBDIFF, i), u, radius)
-                             for i in range(1, k)])
-    gradients, points_used = kink_avoiding_gradients(prob, points, h)
-    if n == 50:
-        assert k > 20 * max(1, BLOCK_FLOATS // ((2 * n + 1) * n))  # many blocks
-    shifts = 0
-    for point, gradient, used in zip(points, gradients, points_used):
-        expected = point.copy()
-        if _one_point_mismatch(prob, point, h) > KINK_TOL:
-            expected[0] += h
-            shifts += 1
-        assert used.tobytes() == expected.tobytes()
-        assert gradient.tobytes() == finite_diff_gradient(prob, used, h).tobytes()
-    assert 0 < shifts < k  # rows of both kinds
+    points = _sampled_points(n, 1e-3)
+    values, gradients = evaluate_with_gradient(prob.objective, points)
+    assert gradients.tobytes() == sample_subdifferential(prob, np.zeros(n), seed=42).points.tobytes()
+    for i, point in enumerate(points):
+        value, gradient = evaluate_with_gradient(prob.objective, points[i:i + 1])
+        assert value.tobytes() == values[i:i + 1].tobytes()
+        assert gradient.tobytes() == gradients[i:i + 1].tobytes()
+        assert objective_gradient(prob, point).tobytes() == gradients[i].tobytes()
+    expected = np.where(points[:, :-1] < 0.0, -1.0, 1.0)
+    np.testing.assert_array_equal(gradients[:, :-1], expected)  # x = 0 takes +1
+    np.testing.assert_array_equal(gradients[:, -1], 1.0)
 
 
 def test_division_by_zero_raises_in_either_phase():
-    # phase 1: the pole sits on the kink stencil of u
+    # a pole at any sampled point raises: at u itself ...
     prob = parse_problem("dim 2\nobjective 1 / x1 + abs(x2)")
     with pytest.raises(EvaluationDomainError, match="division by zero during evaluation"):
         sample_subdifferential(prob, [0.0, 0.0], seed=42)
-    # phase 2: u = 0 sits on the kink of abs(x2) and is shifted to x1 = h,
-    # whose stencil reaches the pole at x1 = 2h
+    # ... or at the first point drawn in the ball, and not at u
     radius = 1e-3
-    h = radius / 100.0
-    prob = parse_problem(f"dim 2\nobjective abs(x2) + 1 / (x1 - {2 * h!r})")
+    pole = float(_sampled_points(2, radius)[1, 0])
+    prob = parse_problem(f"dim 2\nobjective abs(x2) + 1 / (x1 - {pole!r})")
+    sample_subdifferential(prob, [0.0, 0.0], radius=radius, k=1, seed=42)
     with pytest.raises(EvaluationDomainError, match="division by zero during evaluation"):
-        sample_subdifferential(prob, [0.0, 0.0], radius=radius, k=1, seed=42)
+        sample_subdifferential(prob, [0.0, 0.0], radius=radius, k=2, seed=42)
