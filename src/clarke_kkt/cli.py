@@ -214,7 +214,8 @@ def cmd_analyze(args, out) -> int:
                   f"max_ineq={report.feasibility[1]:.3e}\n")
         if report.cq is not None:
             out.write(f"cq        : rank={report.cq.j1_rank} onto={report.cq.j1_onto} "
-                      f"slater_ok={report.cq.slater_ok} active={list(report.cq.active_set)}\n")
+                      f"slater_ok={report.cq.slater_ok} kink_free={report.cq.kink_free} "
+                      f"active={list(report.cq.active_set)}\n")
         if report.certificate is not None:
             cert = report.certificate
             out.write(f"residual  : {cert.residual:.6e}\n")

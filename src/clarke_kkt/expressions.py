@@ -131,57 +131,66 @@ def evaluate_with_gradient(expr, points):
     each row is bitwise equal to what that row alone gives.  At an exact
     tie abs takes slope +1 and max/min take the left branch.  Raises
     ValueError on points that are not a finite (k, n) array and
-    EvaluationDomainError on division by zero; overflow is quiet, as in
-    evaluate.
+    EvaluationDomainError on division by zero; overflow is quiet as in evaluate.
     """
+    return evaluate_with_kinks(expr, points)[:2]
+
+
+def evaluate_with_kinks(expr, points):
+    """evaluate_with_gradient's output and a (k,) mask of the rows where an abs,
+    max or min ties with one-sided gradients that differ (even if smoothed later)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points have shape {points.shape}, expected (k, n)")
     if not np.all(np.isfinite(points)):
         raise ValueError("point has non-finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):
-        values, gradients = _forward(expr, points)
-        return values, gradients + 0.0  # no -0.0 in reports
+        values, gradients, kinked = _forward(expr, points)
+    return values, gradients + 0.0, kinked  # no -0.0 in reports
 
 
 def _forward(expr, u):
-    """(value, gradient) of expr at the rows of u; the value as _evaluate computes it."""
+    """(value, gradient, kinked) of expr at the rows of u; the value as _evaluate computes it."""
     if isinstance(expr, Const):
-        return _evaluate(expr, u), np.zeros(u.shape)
+        return _evaluate(expr, u), np.zeros(u.shape), np.zeros(len(u), dtype=bool)
     if isinstance(expr, Var):
         value = _evaluate(expr, u)  # checks the index
         gradient = np.zeros(u.shape)
         gradient[:, expr.index - 1] = 1.0
-        return value, gradient
+        return value, gradient, np.zeros(len(u), dtype=bool)
     if isinstance(expr, Neg):
-        value, gradient = _forward(expr.operand, u)
-        return -value, -gradient
+        value, gradient, kinked = _forward(expr.operand, u)
+        return -value, -gradient, kinked
     if isinstance(expr, Abs):
-        value, gradient = _forward(expr.operand, u)
-        return np.abs(value), np.where(value[:, None] < 0.0, -gradient, gradient)
+        value, gradient, kinked = _forward(expr.operand, u)
+        kinked = kinked | (value == 0.0) & np.any(gradient != 0.0, axis=1)
+        return np.abs(value), np.where(value[:, None] < 0.0, -gradient, gradient), kinked
     if isinstance(expr, PowOp):
-        value, gradient = _forward(expr.base, u)
+        value, gradient, kinked = _forward(expr.base, u)
         p = expr.exponent
         slope = p * value ** (p - 1) if p else np.zeros(len(u))  # value ** -1 fails at 0
-        return value ** p, slope[:, None] * gradient
+        return value ** p, slope[:, None] * gradient, kinked
     if not isinstance(expr, (BinOp, MaxOp, MinOp)):
         raise TypeError(f"not an expression node: {expr!r}")
-    left, dleft = _forward(expr.left, u)
-    right, dright = _forward(expr.right, u)
+    left, dleft, kinked = _forward(expr.left, u)
+    right, dright, right_kinked = _forward(expr.right, u)
+    kinked = kinked | right_kinked
+    if isinstance(expr, (MaxOp, MinOp)):
+        kinked = kinked | (left == right) & np.any(dleft != dright, axis=1)
     if isinstance(expr, MaxOp):
-        return np.maximum(left, right), np.where((left >= right)[:, None], dleft, dright)
+        return np.maximum(left, right), np.where((left >= right)[:, None], dleft, dright), kinked
     if isinstance(expr, MinOp):
-        return np.minimum(left, right), np.where((left <= right)[:, None], dleft, dright)
+        return np.minimum(left, right), np.where((left <= right)[:, None], dleft, dright), kinked
     if expr.op == "+":
-        return left + right, dleft + dright
+        return left + right, dleft + dright, kinked
     if expr.op == "-":
-        return left - right, dleft - dright
+        return left - right, dleft - dright, kinked
     if expr.op == "*":
-        return left * right, dleft * right[:, None] + left[:, None] * dright
+        return left * right, dleft * right[:, None] + left[:, None] * dright, kinked
     if np.any(right == 0.0):
         raise EvaluationDomainError("division by zero during evaluation")
     value = left / right
-    return value, (dleft - value[:, None] * dright) / right[:, None]
+    return value, (dleft - value[:, None] * dright) / right[:, None], kinked
 
 
 def max_var_index(expr) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
 from .gendir import GenDirConfig
-from .expressions import evaluate_with_gradient
+from .expressions import evaluate_with_gradient, evaluate_with_kinks
 from .problem import ProblemDefinition, as_point, eval_constraints, eval_objective
 from .solver import slater_direction, solve_structured_ls
 from .subdiff import sample_subdifferential
@@ -35,6 +35,7 @@ class ConstraintQualificationReport:
     slater_direction: Optional[np.ndarray]
     slater_ok: bool
     active_set: tuple
+    kink_free: bool  # no equality or active inequality has a kink at the point
     jacobians: tuple  # (J1, J2) at the point, reused by multiplier recovery; not serialized
 
     def to_dict(self):
@@ -44,6 +45,7 @@ class ConstraintQualificationReport:
             "slater_direction": None if self.slater_direction is None else list(self.slater_direction),
             "slater_ok": self.slater_ok,
             "active_set": list(self.active_set),
+            "kink_free": self.kink_free,
         }
 
 
@@ -103,13 +105,8 @@ def jacobians(prob: ProblemDefinition, u):
     each row the gradient of its constraint's expression tree (tie rules as
     in evaluate_with_gradient)."""
     u = as_point(u, prob.n)[None]
-    J1 = np.zeros((prob.m, prob.n))
-    J2 = np.zeros((prob.p, prob.n))
-    for i, expr in enumerate(prob.eq):
-        J1[i] = evaluate_with_gradient(expr, u)[1][0]
-    for i, expr in enumerate(prob.ineq):
-        J2[i] = evaluate_with_gradient(expr, u)[1][0]
-    return J1, J2
+    return tuple(np.reshape([evaluate_with_gradient(expr, u)[1][0] for expr in exprs], (len(exprs), prob.n))
+                 for exprs in (prob.eq, prob.ineq))
 
 
 def check_constraint_qualification(prob: ProblemDefinition, u0,
@@ -121,8 +118,10 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     min-norm point of the projected active rows (Gordan's alternative), and
     when that direction leaves the box, from the box problem itself.  An
     unconverged solve that yields no direction raises CQIndeterminateError.
-    Empty active set makes the check vacuous.  A non-finite Jacobian entry
-    (a constraint whose derivative overflows) raises EstimationFailureError.
+    Empty active set makes the check vacuous.  An equality or active
+    inequality with a kink at the point (see evaluate_with_kinks) has a
+    one-piece Jacobian row that proves nothing: kink_free is False.  A non-finite
+    Jacobian entry (an overflowing derivative) raises EstimationFailureError.
     """
     u0 = as_point(u0, prob.n)
     J1, J2 = jacobians(prob, u0)
@@ -136,8 +135,10 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     j1_onto = rank == prob.m
     _, ineq_values = eval_constraints(prob, u0)
     active = tuple(i for i in range(prob.p) if ineq_values[i] >= -active_tol)
+    kink_free = not any(evaluate_with_kinks(expr, u0[None])[2][0]
+                        for expr in prob.eq + tuple(prob.ineq[i] for i in active))
     if not active:
-        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, (J1, J2))
+        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, kink_free, (J1, J2))
     phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
         raise CQIndeterminateError("Slater solve did not converge")
@@ -145,7 +146,7 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     ineq_ok = bool(np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
     slater_ok = eq_ok and ineq_ok
     return ConstraintQualificationReport(rank, j1_onto, phi if slater_ok else None, slater_ok,
-                                         active, (J1, J2))
+                                         active, kink_free, (J1, J2))
 
 
 def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
@@ -184,7 +185,7 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     except ClarkeKKTError as exc:
         return StationarityReport(feasibility, None, None, "error",
                                   failed_stage="constraint_qualification", message=str(exc))
-    if not cq.j1_onto or not cq.slater_ok:
+    if not (cq.j1_onto and cq.slater_ok and cq.kink_free):
         return StationarityReport(feasibility, cq, None, "cq_failed")
     J1, J2 = cq.jacobians
     active = list(cq.active_set)

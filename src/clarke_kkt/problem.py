@@ -70,8 +70,7 @@ def parse_problem(text: str) -> ProblemDefinition:
     dim = None
     name = "problem"
     objective = None
-    eq = []
-    ineq = []
+    eq, ineq = [], []
     pending = []  # (expr, line) for the variable-range check once dim is known
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -79,9 +78,7 @@ def parse_problem(text: str) -> ProblemDefinition:
             continue
         stripped = line.lstrip()
         indent = len(line) - len(stripped)
-        parts = stripped.split(None, 1)
-        keyword = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
+        keyword, rest = (stripped.split(None, 1) + [""])[:2]
         # column offset of `rest` within the raw line
         rest_offset = line.index(rest, indent + len(keyword)) if rest else indent + len(keyword)
         if keyword == "dim":
@@ -104,10 +101,8 @@ def parse_problem(text: str) -> ProblemDefinition:
                 if objective is not None:
                     raise ProblemParseError("duplicate objective directive", lineno, indent + 1)
                 objective = expr
-            elif keyword == "eq":
-                eq.append(expr)
             else:
-                ineq.append(expr)
+                (eq if keyword == "eq" else ineq).append(expr)
         else:
             raise ProblemParseError(f"unknown directive {keyword!r}", lineno, indent + 1)
     if dim is None:

@@ -47,12 +47,10 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
     that lies exactly on a kink takes the gradient its tie rules pick.
     """
     u = as_point(u, prob.n)
-    if radius is None:
-        radius = default_radius(u)
+    radius = default_radius(u) if radius is None else radius
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if k is None:
-        k = 30 + 2 * prob.n
+    k = 30 + 2 * prob.n if k is None else k
     if k < 1:
         raise ValueError("need at least one sample")
     points = [u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)

@@ -17,6 +17,7 @@ from clarke_kkt.expressions import (
     Var,
     evaluate,
     evaluate_with_gradient,
+    evaluate_with_kinks,
     parse_expression,
     to_text,
 )
@@ -191,17 +192,38 @@ def test_gradient_of_a_quotient_and_its_pole():
         evaluate_with_gradient(expr, [[3.0, 2.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("text, point, kinked", [
+    ("abs(x1)", [0.0, 0.0], True),
+    ("abs(x1)", [-0.0, 0.0], True),
+    ("abs(x1)", [1e-300, 0.0], False),
+    ("abs(x1 - x1)", [0.0, 0.0], False),  # a tie with no slope on either side
+    ("max(x1, x2)", [1.0, 1.0], True),
+    ("min(x2, x1)", [1.0, 1.0], True),
+    ("max(x1, x2)", [1.0, 2.0], False),
+    ("max(x1, x1)", [1.0, 1.0], False),
+    ("x2 + 2 * max(x1, 0)", [0.0, 3.0], True),
+    ("pow(abs(x1), 2)", [0.0, 0.0], True),  # smooth, but the marking stays conservative
+])
+def test_gradient_marks_kinks(text, point, kinked):
+    expr = parse_expression(text)
+    values, gradients, kinks = evaluate_with_kinks(expr, [point])
+    assert kinks.tolist() == [kinked]
+    plain = evaluate_with_gradient(expr, [point])
+    assert values.tobytes() == plain[0].tobytes() and gradients.tobytes() == plain[1].tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(_leaf, _branch, max_leaves=12))
 def test_gradients_are_exact(tree):
     assume(_degree(tree) <= 64)  # keeps the exact arithmetic small
     points = np.random.default_rng(0).uniform(-5, 5, size=(6, 3))
-    values, gradients = evaluate_with_gradient(tree, points)
+    values, gradients, kinks = evaluate_with_kinks(tree, points)
     assert values.tobytes() == evaluate(tree, points).tobytes()
     for i in range(len(points)):
-        row_values, row_gradients = evaluate_with_gradient(tree, points[i:i + 1])
+        row_values, row_gradients, row_kinks = evaluate_with_kinks(tree, points[i:i + 1])
         assert row_values.tobytes() == values[i:i + 1].tobytes()
         assert row_gradients.tobytes() == gradients[i:i + 1].tobytes()
+        assert row_kinks.tolist() == kinks[i:i + 1].tolist()
     # against exact central differences, in each coordinate where the
     # forward and backward quotients agree (no kink within h of the point)
     h = Fraction(1, 2 ** 30)

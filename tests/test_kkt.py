@@ -72,6 +72,26 @@ def test_slater_direction_at_the_box_edge():
     assert np.max(np.abs(report.cq.slater_direction)) <= 1e3
 
 
+@pytest.mark.parametrize("text, point", [
+    ("dim 1\nobjective x1\nineq abs(x1)\n", [0.0]),  # feasible set {0}: no Slater direction
+    ("dim 2\nobjective x1 + x2\neq abs(x1) + x2\n", [0.0, 0.0]),
+])
+def test_constraint_with_a_kink_at_the_point_fails_the_cq(text, point):
+    # the Jacobian row is one piece's gradient there, which proves nothing
+    report = verify_stationarity(parse_problem(text), point)
+    assert report.verdict == "cq_failed"
+    assert report.certificate is None
+    assert not report.cq.kink_free and report.cq.to_dict()["kink_free"] is False
+
+
+def test_kink_of_an_inactive_inequality_leaves_the_cq_alone():
+    prob = parse_problem("dim 1\nobjective x1\nineq abs(x1) - 1\nineq max(x1, -x1) - 1\n")
+    cq = check_constraint_qualification(prob, [0.0])
+    assert cq.active_set == () and cq.kink_free
+    assert check_constraint_qualification(prob, [1.0]).active_set == (0, 1)
+    assert check_constraint_qualification(prob, [1.0]).kink_free
+
+
 def test_cq_inactive_inequality_is_vacuous():
     prob = parse_problem(P3_TEXT)
     cq = check_constraint_qualification(prob, [0.0, 1.0])
