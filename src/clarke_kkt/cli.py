@@ -75,48 +75,27 @@ _VERDICT_EXIT = {
 SEED_ENV = "CLARKE_KKT_SEED"
 
 
-def _finite_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _bounded(kind, positive):
+    """An argparse type: text read as a float (finite) or an int, which must
+    be positive, or nonnegative when not `positive`.  An int is never turned
+    into a float, so an integer of any size is checked exactly."""
+    noun = "number" if kind is float else "integer"
+    sign = "positive" if positive else "nonnegative"
+
+    def check(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(f"not a {sign} {noun}: {text!r}")
+        return value
+    return check
 
 
-def _positive_float(text):
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
-    return value
-
-
-def _nonnegative_float(text):
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a nonnegative number: {text!r}")
-    return value
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
-    return value
+_nonnegative_int = _bounded(int, positive=False)
 
 
 # Every option a command can declare; each default is the library's own.
@@ -125,11 +104,11 @@ OPTIONS = {
                  help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
     "levels": dict(type=int, default=GenDirConfig.levels),
     "samples": dict(type=int, default=GenDirConfig.samples_per_level),
-    "eps_stat": dict(type=_nonnegative_float, default=DEFAULT_EPS_STAT),
-    "active_tol": dict(type=_nonnegative_float, default=DEFAULT_ACTIVE_TOL),
-    "eps_sub": dict(type=_nonnegative_float, default=None),
-    "sd_radius": dict(type=_positive_float, default=None),
-    "sd_count": dict(type=_positive_int, default=None),
+    "eps_stat": dict(type=_bounded(float, positive=False), default=DEFAULT_EPS_STAT),
+    "active_tol": dict(type=_bounded(float, positive=False), default=DEFAULT_ACTIVE_TOL),
+    "eps_sub": dict(type=_bounded(float, positive=False), default=None),
+    "sd_radius": dict(type=_bounded(float, positive=True), default=None),
+    "sd_count": dict(type=_bounded(int, positive=True), default=None),
 }
 # The options each command reads, in the order its JSON `config` lists them.
 VERDICT_OPTIONS = ("seed", "eps_stat", "active_tol", "sd_radius", "sd_count")
@@ -235,12 +214,13 @@ def cmd_suite(args, out) -> int:
         export_dir = Path(args.export)
         try:
             export_dir.mkdir(parents=True, exist_ok=True)
-            for entry in registry():
+            entries = registry()
+            for entry in entries:
                 (export_dir / f"{entry.name}.prob").write_text(entry.problem_text, encoding="utf-8")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        out.write(f"exported {len(registry())} problems to {export_dir}\n")
+        out.write(f"exported {len(entries)} problems to {export_dir}\n")
         return EXIT_OK
     entries = []
     timings = {}

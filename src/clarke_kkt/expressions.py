@@ -15,6 +15,7 @@ printer/parser round trip is structurally exact for parsed trees.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -79,13 +80,16 @@ Expression = Union[Const, Var, Neg, Abs, BinOp, MaxOp, MinOp, PowOp]
 def evaluate(expr, u):
     """Evaluate expr on u of shape (..., n); returns an array of shape (...).
 
-    Pure and deterministic: equal inputs give bitwise-equal outputs.
+    Pure and deterministic: equal inputs give bitwise-equal outputs, and a
+    single point (shape (n,)) gets the value its row gets in a batch.
     Raises EvaluationDomainError on division by zero.  Overflow to inf and
     invalid results (nan) are returned without a numpy warning; callers
     check results for finiteness and report the cause themselves.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
+        if u.ndim == 1:  # as a one-row batch: numpy scalar powers can round differently
+            return _evaluate(expr, u[None])[0]
         return _evaluate(expr, u)
 
 
@@ -312,25 +316,18 @@ class _Parser:
         if tok[0] != "sym" or tok[1] != sym:
             raise ProblemParseError(f"expected {sym!r}, found {tok[1]!r}", self.line, tok[2])
 
-    def expr(self):
-        node = self.term()
+    def expr(self, ops="+-"):
+        """expr, or with ops "*/" a term: one left-associative loop over
+        operands joined by ops.  A term's operand is a factor; a partial, not
+        a lambda, keeps nesting depth at one frame per grammar level."""
+        operand = self.factor if ops == "*/" else functools.partial(self.expr, "*/")
+        node = operand()
         while True:
             tok = self._peek()
-            if tok is not None and tok[0] == "sym" and tok[1] in "+-":
-                self._next()
-                node = BinOp(tok[1], node, self.term())
-            else:
+            if tok is None or tok[0] != "sym" or tok[1] not in ops:
                 return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "sym" and tok[1] in "*/":
-                self._next()
-                node = BinOp(tok[1], node, self.factor())
-            else:
-                return node
+            self._next()
+            node = BinOp(tok[1], node, operand())
 
     def factor(self):
         tok = self._peek()

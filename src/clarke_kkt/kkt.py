@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
 from .gendir import GenDirConfig
-from .expressions import evaluate_with_gradient, evaluate_with_kinks
+from .expressions import evaluate_with_kinks
 from .problem import ProblemDefinition, as_point, eval_constraints, eval_objective
 from .solver import slater_direction, solve_structured_ls
 from .subdiff import sample_subdifferential
@@ -100,19 +100,33 @@ class StationarityReport:
         }
 
 
+def constraint_walk(prob: ProblemDefinition, u):
+    """Values (m + p,), exact Jacobian rows (m + p, n) and kink marks (m + p,)
+    of the equality then the inequality constraints at u, from one
+    evaluate_with_kinks call per constraint tree.  The values are bitwise
+    those of eval_constraints."""
+    u = as_point(u, prob.n)[None]
+    walks = [evaluate_with_kinks(expr, u) for expr in prob.eq + prob.ineq]
+    return (np.array([values[0] for values, _, _ in walks]),
+            np.reshape([rows[0] for _, rows, _ in walks], (len(walks), prob.n)),
+            np.array([kinked[0] for _, _, kinked in walks], dtype=bool))
+
+
 def jacobians(prob: ProblemDefinition, u):
     """(J1, J2): exact Jacobians of the equality and inequality maps at u,
     each row the gradient of its constraint's expression tree (tie rules as
-    in evaluate_with_gradient)."""
-    u = as_point(u, prob.n)[None]
-    return tuple(np.reshape([evaluate_with_gradient(expr, u)[1][0] for expr in exprs], (len(exprs), prob.n))
-                 for exprs in (prob.eq, prob.ineq))
+    in evaluate_with_gradient); the rows of constraint_walk, split.  The
+    pipeline reads constraint_walk directly and does not call this."""
+    J = constraint_walk(prob, u)[1]
+    return J[:prob.m], J[prob.m:]
 
 
 def check_constraint_qualification(prob: ProblemDefinition, u0,
                                    active_tol=DEFAULT_ACTIVE_TOL) -> ConstraintQualificationReport:
     """Rank of J1, active inequality set, and a strictly feasible (Slater) direction.
 
+    The Jacobians, the inequality values that decide the active set and the
+    kink marks all come from one constraint_walk at u0.
     The Slater direction phi has |phi|_inf <= SLATER_BOX_BOUND, J1 phi = 0 and
     (J2 phi)_i <= -1 on the active set; slater_direction finds it from the
     min-norm point of the projected active rows (Gordan's alternative), and
@@ -124,19 +138,19 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     Jacobian entry (an overflowing derivative) raises EstimationFailureError.
     """
     u0 = as_point(u0, prob.n)
-    J1, J2 = jacobians(prob, u0)
-    if not (np.all(np.isfinite(J1)) and np.all(np.isfinite(J2))):
+    values, J, kinked = constraint_walk(prob, u0)
+    if not np.all(np.isfinite(J)):
         raise EstimationFailureError("non-finite constraint Jacobian at the point")
+    J1, J2 = J[:prob.m], J[prob.m:]
     if prob.m > 0:
         svals = np.linalg.svd(J1, compute_uv=False)
         rank = int(np.sum(svals > 1e-8 * float(svals[0]) * max(prob.m, prob.n)))
     else:
         rank = 0
     j1_onto = rank == prob.m
-    _, ineq_values = eval_constraints(prob, u0)
+    ineq_values, ineq_kinked = values[prob.m:], kinked[prob.m:]
     active = tuple(i for i in range(prob.p) if ineq_values[i] >= -active_tol)
-    kink_free = not any(evaluate_with_kinks(expr, u0[None])[2][0]
-                        for expr in prob.eq + tuple(prob.ineq[i] for i in active))
+    kink_free = not (np.any(kinked[:prob.m]) or np.any(ineq_kinked[list(active)]))
     if not active:
         return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, kink_free, (J1, J2))
     phi, converged = slater_direction(J1, J2[list(active)])

@@ -232,25 +232,57 @@ def test_json_is_strict_and_config_echoes_own_options(argv, config, tmp_path, ca
     assert list(payload["config"]) == config
 
 
-@pytest.mark.parametrize("argv", [
+# (argv, the last line argparse writes to stderr)
+REJECTED_OPTIONS = [
     # an option the command does not read
-    ("analyze", "{p3}", "--at", "0,0", "--levels", "3"),
-    ("suite", "--eps-mem", "0.1"),
-    ("check-properties", "{p3}", "--at", "0,0", "--eps-stat", "1e-3"),
+    (("analyze", "{p3}", "--at", "0,0", "--levels", "3"),
+     "clarke-kkt: error: unrecognized arguments: --levels 3"),
+    (("suite", "--eps-mem", "0.1"), "clarke-kkt: error: unrecognized arguments: --eps-mem 0.1"),
+    (("check-properties", "{p3}", "--at", "0,0", "--eps-stat", "1e-3"),
+     "clarke-kkt: error: unrecognized arguments: --eps-stat 1e-3"),
     # a non-finite float
-    ("analyze", "{p3}", "--at", "0,0", "--eps-stat", "nan"),
-    ("suite", "--active-tol=-inf"),
-    ("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "inf"),
+    (("analyze", "{p3}", "--at", "0,0", "--eps-stat", "nan"),
+     "clarke-kkt analyze: error: argument --eps-stat: not a finite number: 'nan'"),
+    (("suite", "--active-tol=-inf"),
+     "clarke-kkt suite: error: argument --active-tol: not a finite number: '-inf'"),
+    (("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "inf"),
+     "clarke-kkt check-properties: error: argument --eps-sub: not a finite number: 'inf'"),
     # a negative tolerance
-    ("analyze", "{p3}", "--at", "0,0", "--eps-stat", "-1"),
-    ("analyze", "{p3}", "--at", "0,0", "--active-tol", "-1"),
-    ("suite", "--eps-stat=-1e-3"),
-    ("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "-1"),
-])
-def test_option_rejected_at_parse_time(argv, p3_file):
+    (("analyze", "{p3}", "--at", "0,0", "--eps-stat", "-1"),
+     "clarke-kkt analyze: error: argument --eps-stat: not a nonnegative number: '-1'"),
+    (("analyze", "{p3}", "--at", "0,0", "--active-tol", "-1"),
+     "clarke-kkt analyze: error: argument --active-tol: not a nonnegative number: '-1'"),
+    (("suite", "--eps-stat=-1e-3"),
+     "clarke-kkt suite: error: argument --eps-stat: not a nonnegative number: '-1e-3'"),
+    (("check-properties", "{p3}", "--at", "0,0", "--eps-sub", "-1"),
+     "clarke-kkt check-properties: error: argument --eps-sub: not a nonnegative number: '-1'"),
+    # a sampling radius or count that is not positive, or not an integer
+    (("analyze", "{p3}", "--at", "0,0", "--sd-radius", "0"),
+     "clarke-kkt analyze: error: argument --sd-radius: not a positive number: '0'"),
+    (("analyze", "{p3}", "--at", "0,0", "--sd-radius", "-0.0"),
+     "clarke-kkt analyze: error: argument --sd-radius: not a positive number: '-0.0'"),
+    (("suite", "--sd-count", "0"), "clarke-kkt suite: error: argument --sd-count: not a positive integer: '0'"),
+    (("suite", "--sd-count", "1.5"),
+     "clarke-kkt suite: error: argument --sd-count: not a positive integer: '1.5'"),
+    (("suite", "--seed", "1.5"), "clarke-kkt suite: error: argument --seed: not a nonnegative integer: '1.5'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED_OPTIONS,
+                         ids=[f"argv{i}" for i in range(len(REJECTED_OPTIONS))])
+def test_option_rejected_at_parse_time(argv, message, p3_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([a.format(p3=p3_file) for a in argv])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+def test_integer_option_of_any_size_is_accepted(p3_file, capsys):
+    # an integer is checked as an integer, never through float arithmetic
+    seed = "9" * 400
+    code, out = run_cli(capsys, "analyze", p3_file, "--at", "0,0", "--seed", seed, "--json")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == int(seed)
 
 
 @pytest.mark.parametrize("argv", [

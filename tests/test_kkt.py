@@ -92,6 +92,32 @@ def test_kink_of_an_inactive_inequality_leaves_the_cq_alone():
     assert check_constraint_qualification(prob, [1.0]).kink_free
 
 
+def test_cq_walks_each_constraint_tree_once(monkeypatch):
+    # m = 2 equalities and p = 3 inequalities; the last two are inactive, and the
+    # kink of the second does not count
+    prob = parse_problem("dim 3\nobjective abs(x1)\neq x1 + x2 + x3\neq x1 - x2\n"
+                         "ineq -x1\nineq max(x2, -x2) - 1\nineq x3 - 5\n")
+    point = [0.0, 0.0, 0.0]
+    J1, J2 = jacobians(prob, point)
+    walked = []
+    walk = kkt.evaluate_with_kinks
+
+    def counting(expr, points):
+        walked.append(expr)
+        return walk(expr, points)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the qualification check reads the constraints again")
+
+    monkeypatch.setattr(kkt, "evaluate_with_kinks", counting)
+    monkeypatch.setattr(kkt, "eval_constraints", forbidden)
+    monkeypatch.setattr(kkt, "jacobians", forbidden)
+    cq = check_constraint_qualification(prob, point)
+    assert walked == list(prob.eq + prob.ineq)
+    assert cq.active_set == (0,) and cq.kink_free and cq.j1_rank == 2
+    assert cq.jacobians[0].tobytes() == J1.tobytes() and cq.jacobians[1].tobytes() == J2.tobytes()
+
+
 def test_cq_inactive_inequality_is_vacuous():
     prob = parse_problem(P3_TEXT)
     cq = check_constraint_qualification(prob, [0.0, 1.0])
