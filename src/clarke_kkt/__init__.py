@@ -37,7 +37,7 @@ from .problem import (
     parse_problem,
     to_problem_text,
 )
-from .solver import StructuredLSResult, project_simplex, slater_direction, solve_structured_ls
+from .solver import StructuredLSResult, slater_direction, solve_structured_ls
 from .subdiff import SubdifferentialApprox, membership_test, sample_subdifferential
 from .suite import SuiteEntry, registry
 
@@ -70,7 +70,6 @@ __all__ = [
     "parse_problem",
     "to_problem_text",
     "StructuredLSResult",
-    "project_simplex",
     "slater_direction",
     "solve_structured_ls",
     "SubdifferentialApprox",

@@ -212,10 +212,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
                                   failed_stage="multiplier_recovery", message=str(exc))
     z2 = np.zeros(prob.p)
     z2[active] = result.z2_active
-    u_star = G @ result.lam
-    residual = float(np.linalg.norm(u_star + J1.T @ result.z1 + J2.T @ z2))
     slackness = float(ineq_values @ z2)
-    certificate = MultiplierCertificate(u_star, result.lam, result.z1, z2, residual, slackness,
-                                        result.converged, result.lower_bound)
-    verdict = "stationary" if residual <= eps_stat else "not_stationary"
+    certificate = MultiplierCertificate(G @ result.lam, result.lam, result.z1, z2, result.residual,
+                                        slackness, result.converged, result.lower_bound)
+    verdict = "stationary" if result.residual <= eps_stat else "not_stationary"
     return StationarityReport(feasibility, cq, certificate, verdict)

@@ -2,14 +2,15 @@
 
 One solver, two uses.  solve_structured_ls minimizes a structured
 least-squares program over simplex x free x nonnegative blocks; it is convex
-with a Lipschitz gradient, and the constant step 1/L with L from power
-iteration (exact for one column) guarantees a non-increasing objective.  The multipliers are its
-minimizer over the sampled subdifferential.  slater_direction calls it on the
-active inequality rows a_i projected off range(J1^T): by Gordan's alternative
-a strictly feasible direction exists iff the min-norm point w of that hull is
-nonzero (Wolfe 1976), and then phi = -w / min_i(a_i . w) is one.  When that
-phi leaves the box |phi|_inf <= SLATER_BOX_BOUND, the same alternative on
-homogenized rows, the box's included, decides whether another direction fits.
+with a Lipschitz gradient, and the constant step 1/L with L the top
+eigenvalue of its Hessian (from LAPACK) guarantees a non-increasing
+objective.  The multipliers are its minimizer over the sampled
+subdifferential.  slater_direction calls it on the active inequality rows
+a_i projected off range(J1^T): by Gordan's alternative a strictly feasible
+direction exists iff the min-norm point w of that hull is nonzero (Wolfe
+1976), and then phi = -w / min_i(a_i . w) is one.  When that phi leaves the
+box |phi|_inf <= SLATER_BOX_BOUND, the same alternative on homogenized rows,
+the box's included, decides whether another direction fits.
 
 The loop runs on buffers allocated once per call and writes every
 intermediate through ``out=``. Each floating-point operation keeps the order
@@ -48,47 +49,19 @@ class StructuredLSResult:
     lower_bound: float  # proven lower bound on the optimal residual
 
 
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    k = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, k + 1)
-    cond = u - css / idx > 0
-    rho = int(idx[cond][-1])
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def spectral_upper_step(H) -> float:
     """1 / lambda_max(H) for a positive semidefinite H; 0.0 for a zero matrix.
 
-    A 1 x 1 H is its own eigenvalue.  A larger one runs 100 power-iteration
-    steps on H scaled by a power of two, so that w.w cannot overflow; the
-    scaling is exact, so the step equals the unscaled iteration's wherever
-    that one does not overflow.
+    The top eigenvalue comes from LAPACK on H scaled by a power of two, so
+    that it cannot overflow.  An H whose entries are all subnormal counts as
+    zero, since 1 / lambda_max could overflow.
     """
     H = np.asarray(H, dtype=float)
-    d = H.shape[0]
     top = float(np.max(np.abs(H)))
-    if top == 0.0:
+    if top < np.finfo(float).tiny:
         return 0.0
-    if d == 1:
-        return 1.0 / top
     exponent = math.frexp(top)[1]
-    H = np.ldexp(H, -exponent)
-    # fixed pseudo-random start: almost surely not orthogonal to the top eigenspace
-    v = np.random.default_rng(0).standard_normal(d)
-    v /= math.sqrt(v.dot(v))
-    lam = 0.0
-    for _ in range(100):
-        w = H @ v
-        nrm = math.sqrt(w.dot(w))
-        if nrm == 0.0:
-            return 0.0
-        lam = nrm
-        v = w / nrm
+    lam = float(np.linalg.eigvalsh(np.ldexp(H, -exponent))[-1])
     return math.ldexp(1.0 / lam, -exponent)
 
 
@@ -138,16 +111,17 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     PC = J2a.T - Q @ (Q.T @ J2a.T)
     step = spectral_upper_step(H)
     if step == 0.0:
-        # zero quadratic: any feasible point is optimal
-        x[:k] = project_simplex(x[:k])
+        # zero quadratic (or subnormal, below 1e-308): any feasible point, the
+        # start point too, is optimal (to within 1e-154 of the residual)
         r = A @ x
         return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], float(np.linalg.norm(r)), True, 0,
                                   _dual_lower_bound(Q, PG, PC, r))
 
-    # project_simplex and max(., 0) on x - step * (H @ x), one operation per
-    # line on these buffers, so the iterates equal the plain loop's bit for bit
-    # (oracle test in tests/test_solver.py). np.dot runs the same BLAS product
-    # as `@`; desc > crit has the truth value of desc - crit > 0 (gradual underflow).
+    # the sort-based simplex projection and max(., 0) on x - step * (H @ x), one
+    # operation per line on these buffers, so the iterates equal the plain
+    # loop's bit for bit (oracle test in tests/test_solver.py). np.dot runs the
+    # same BLAS product as `@`; desc > crit has the truth value of
+    # desc - crit > 0 (gradual underflow).
     x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     srt, css, crit, r = np.empty(k), np.empty(k), np.empty(k), np.empty(n)
     cond = np.empty(k, dtype=bool)
@@ -167,7 +141,7 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
         np.subtract(css, 1.0, out=css)
         np.divide(css, ranks, out=crit)
         np.greater(desc, crit, out=cond)
-        rho = k - int(cond_rev.argmax())  # the last True, idx[cond][-1] in project_simplex
+        rho = k - int(cond_rev.argmax())  # the last True of cond
         np.subtract(lam, css[rho - 1] / rho, out=lam)
         np.maximum(lam, 0.0, out=lam)
         if a:

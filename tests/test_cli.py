@@ -76,6 +76,28 @@ def test_analyze_parse_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("objective", ["(" * 300 + "x1" + ")" * 300,
+                                       " + ".join(["abs(x1)"] * 990)])
+def test_analyze_deep_expression_exit_two(objective, tmp_path, capsys):
+    # the parser recurses per parenthesis and the tree walks per sum term, so
+    # both exceed Python's recursion limit; no traceback reaches the user
+    path = tmp_path / "deep.prob"
+    path.write_text(f"dim 1\nobjective {objective}\n", encoding="utf-8")
+    code = cli.main(["analyze", str(path), "--at", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: an expression nests too deeply\n"
+
+
+def test_analyze_900_term_sum(tmp_path, capsys):
+    path = tmp_path / "sum.prob"
+    path.write_text("dim 1\nobjective " + " + ".join(["abs(x1)"] * 900) + "\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(path), "--at", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "stationary"
+
+
 def test_analyze_wrong_point_dimension_exit_two(p3_file, capsys):
     code, _ = run_cli(capsys, "analyze", p3_file, "--at", "0,0,0")
     assert code == 2
@@ -434,7 +456,7 @@ def test_analyze_slater_overflow_is_cq_stage_error(tmp_path, capsys):
 
 
 def test_analyze_huge_gradients_print_no_warning(tmp_path, capsys):
-    # sampled gradients of +-1e77: the power iteration runs on a scaled matrix
+    # sampled gradients of +-1e77: the step is taken on a scaled matrix
     path = tmp_path / "huge.prob"
     path.write_text("dim 1\nobjective 1e77 * abs(x1)\n", encoding="utf-8")
     code = cli.main(["analyze", str(path), "--at", "0", "--json"])

@@ -9,7 +9,6 @@ from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.solver import (
     GAP_RTOL,
     SLATER_BOX_BOUND,
-    project_simplex,
     slater_direction,
     solve_structured_ls,
     spectral_upper_step,
@@ -17,6 +16,21 @@ from clarke_kkt.solver import (
 
 
 # --- simplex projection -----------------------------------------------------
+# The reference loop below projects with this plain sort-based copy; the
+# solver inlines the same operations on its buffers.
+
+def project_simplex(v):
+    """Euclidean projection onto the probability simplex (sort-based)."""
+    v = np.asarray(v, dtype=float)
+    k = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, k + 1)
+    cond = u - css / idx > 0
+    rho = int(idx[cond][-1])
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
 
 def test_project_simplex_fixes_simplex_points():
     v = np.array([0.2, 0.5, 0.3])
@@ -322,42 +336,44 @@ def test_slater_direction_decides_the_box(n, m, a, log_scale, seed):
         assert SLATER_BOX_BOUND * (oracle - error) <= 1.0
 
 
-# --- bitwise oracle: the plain projected-gradient loop ------------------------
-# solve_structured_ls runs on preallocated buffers; this unbuffered loop is
-# the reference its iterates must equal bit for bit.
+# --- the step 1 / lambda_max(H) -------------------------------------------------
 
-def _reference_upper_step(H):
-    v = np.random.default_rng(0).standard_normal(H.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(100):
-        w = H @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        lam = nrm
-        v = w / nrm
-    return 1.0 / lam
+@pytest.mark.parametrize("shape", [(1, 1), (2, 34), (5, 41), (50, 131)])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_step_is_the_inverse_top_eigenvalue(shape, scale):
+    # lambda_max(2 A^T A) = 2 |A|_2^2, with |A|_2 from an SVD of A
+    A = np.random.default_rng(shape[1]).normal(size=shape) * scale
+    expected = 1.0 / (2.0 * np.linalg.norm(A, 2) ** 2)
+    assert spectral_upper_step(2.0 * (A.T @ A)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_one_column_step_is_the_loops_bitwise():
-    # a 1 x 1 H is its own eigenvalue; the 100 power steps gave the same bits
-    rng = np.random.default_rng(18)
-    for value in np.exp(rng.uniform(-300.0, 300.0, 2000)):
-        H = np.array([[value]])
-        assert spectral_upper_step(H) == _reference_upper_step(H)
-    assert spectral_upper_step(np.zeros((1, 1))) == 0.0
+def test_step_of_a_zero_matrix_is_zero():
+    assert spectral_upper_step(np.zeros((3, 3))) == 0.0
+
+
+def test_subnormal_normal_matrix_returns_the_start_point():
+    # H = 2 A^T A is all subnormal: 1 / lambda_max would overflow to an
+    # infinite step, so it counts as zero and the start point is returned
+    result = solve_structured_ls(np.array([[1e-155, 2e-155]]))
+    assert result.lam.tolist() == [0.5, 0.5]
+    assert result.iterations == 0
+    assert result.converged
 
 
 def test_huge_finite_normal_matrix_keeps_its_step():
-    # H = 2 A^T A has entries near 1e155, so an unscaled w.w overflows, the
-    # step becomes 0 and the start point is returned after 0 iterations
+    # H = 2 A^T A has entries near 1e155; its top eigenvalue is taken on H
+    # scaled by a power of two, so the step stays finite and nonzero and the
+    # loop runs, where a step of 0 would return the start point after 0 iterations
     result = solve_structured_ls(np.array([[1e77, 2e77]]))
     assert result.lam.tolist() == [1.0, 0.0]
     assert result.iterations > 0
     assert result.converged
     assert result.residual == 1e77
 
+
+# --- bitwise oracle: the plain projected-gradient loop ------------------------
+# solve_structured_ls runs on preallocated buffers; this unbuffered loop is
+# the reference its iterates must equal bit for bit.
 
 # the reference loop keeps no dual bound, so it returns these fields only
 ReferenceResult = namedtuple("ReferenceResult", "lam z1 z2_active residual converged iterations")
@@ -379,9 +395,8 @@ def _reference_structured_ls(G, J1, J2a, iter_cap, tol):
     x = np.zeros(A.shape[1])
     x[:k] = 1.0 / k
     H = 2.0 * (A.T @ A)
-    step = _reference_upper_step(H)
+    step = spectral_upper_step(H)
     if step == 0.0:
-        x = project(x)
         return ReferenceResult(x[:k], x[k:k + m], x[k + m:], float(np.linalg.norm(A @ x)), True, 0)
     converged, iterations = False, 0
     for it in range(1, iter_cap + 1):
