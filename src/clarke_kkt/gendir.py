@@ -10,6 +10,7 @@ Coarse-level maxima are kept for convergence diagnostics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,11 @@ from . import sampling
 from .errors import EstimationFailureError
 from .problem import ProblemDefinition, as_point, eval_objective_batch
 
-# Most floats of points evaluated in one batched call; a block holds at least
-# one direction's stepped points, so a call never needs more memory than one
-# direction.
-BLOCK_FLOATS = 1 << 15
+# Most floats in the one buffer of stepped points that an estimator call
+# allocates (1 MiB), unless one direction's points alone need more: a block
+# holds at least one direction.  Each block of directions is one batched
+# evaluation of F per level, so a larger buffer means fewer tree walks.
+BLOCK_FLOATS = 1 << 17
 BASE_RADIUS = 0.1
 BASE_STEP = 0.1
 DECAY = 0.5
@@ -87,42 +89,50 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
 
     The level draws depend only on (cfg.seed, level), so each level draws its
     base points and steps and evaluates F on the base points once for all
-    directions.  The stepped points are evaluated in blocks of at most
-    BLOCK_FLOATS floats (one direction at least).  Every result is bitwise
-    equal to the single-direction estimate.
+    directions.  The stepped points v + t*d are built in blocks of directions
+    in one buffer of at most BLOCK_FLOATS floats (one direction's points at
+    least), allocated once per call.  The buffer is coordinate-major, shape
+    (n, directions, samples): each variable of the expression then reads one
+    contiguous slab, and the two operations that fill it run their innermost
+    loop over the samples rather than over the n coordinates.  Each coordinate
+    still gets the same product and sum, so every result is bitwise equal to
+    the single-direction estimate.
     """
     u = as_point(u, prob.n)
     rows = [as_point(phi, prob.n) for phi in phis]
-    norms = [float(np.linalg.norm(phi)) for phi in rows]
+    norms = [math.sqrt(row.dot(row)) for row in rows]  # bitwise np.linalg.norm
     moving = [i for i, norm in enumerate(norms) if norm != 0.0]
-    per_level = [[] for _ in rows]
+    estimates = [GenDirEstimate(0.0, (0.0,) * cfg.levels, 0.0)] * len(rows)
     if moving:
-        directions = np.array([rows[i] / norms[i] for i in moving])
-        block_size = max(1, BLOCK_FLOATS // (cfg.samples_per_level * prob.n))
+        moving_norms = np.array([norms[i] for i in moving])
+        directions = np.array([rows[i] for i in moving]) / moving_norms[:, None]
+        samples = cfg.samples_per_level
+        block_size = min(len(moving), max(1, BLOCK_FLOATS // (samples * prob.n)))
+        buf = np.empty((prob.n, block_size, samples))
+        maxima = np.empty((len(moving), cfg.levels))
         for level in range(1, cfg.levels + 1):
             radius = BASE_RADIUS * DECAY**level
             t_max = BASE_STEP * DECAY**level
             rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
-            base = sampling.ball_points(rng, u, radius, cfg.samples_per_level)
-            steps = t_max * (1.0 - rng.random(cfg.samples_per_level))  # in (0, t_max]
+            base = sampling.ball_points(rng, u, radius, samples)
+            steps = t_max * (1.0 - rng.random(samples))  # in (0, t_max]
             base[0] = u
             steps[0] = t_max
             f_base = eval_objective_batch(prob, base)
             for start in range(0, len(moving), block_size):
                 block = directions[start:start + block_size]
-                stepped = base[None] + steps[None, :, None] * block[:, None, :]
-                values = eval_objective_batch(prob, stepped)
+                stepped = buf[:, :len(block)]
+                np.multiply(block.T[:, :, None], steps, out=stepped)
+                np.add(base.T[:, None, :], stepped, out=stepped)
+                values = eval_objective_batch(prob, np.moveaxis(stepped, 0, -1))
                 with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                     quotients = (values - f_base) / steps
                 if not np.all(np.isfinite(quotients)):
                     raise EstimationFailureError("non-finite difference quotient in level sampling")
-                for i, quotient_max in zip(moving[start:start + block_size], np.max(quotients, axis=1)):
-                    per_level[i].append(norms[i] * float(quotient_max))
-    return [
-        GenDirEstimate(values[-1], tuple(values), norm) if values
-        else GenDirEstimate(0.0, (0.0,) * cfg.levels, 0.0)
-        for values, norm in zip(per_level, norms)
-    ]
+                np.max(quotients, axis=1, out=maxima[start:start + len(block), level - 1])
+        for i, values in zip(moving, (maxima * moving_norms[:, None]).tolist()):
+            estimates[i] = GenDirEstimate(values[-1], tuple(values), norms[i])
+    return estimates
 
 
 def _direction_pair(phi1, phi2):

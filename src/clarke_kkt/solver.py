@@ -90,7 +90,9 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     is a x n.  Terminates when the projected-gradient norm drops below tol
     or at iter_cap (then converged=False).  It also stops (converged=False)
     once the dual lower bound exceeds stop_above with the residual within
-    GAP_RTOL of it; lower_bound reports the bound at exit.
+    GAP_RTOL of it; lower_bound reports the bound at exit.  Raises
+    EstimationFailureError when the normal matrix is not finite or when the
+    objective, checked every 100 iterations, has grown.
     """
     G = np.asarray(G, dtype=float)
     n, k = G.shape
@@ -153,7 +155,8 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
         if it % 100 == 0:
             np.dot(A, x, out=r)
             obj = r.dot(r)  # ||A x||^2 = x.Hx / 2
-            assert obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)), "objective increased"
+            if not obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)):  # a step above 2/L diverges
+                raise EstimationFailureError("multiplier least-squares objective increased")
             prev_obj = obj
         if pg_norm <= tol:
             converged = True

@@ -4,10 +4,12 @@ The oracle for 1-d problems is a dense deterministic grid of difference
 quotients (F(v + t) - F(v)) / t over base points v near u and steps t near
 0, evaluated vectorized and independently of the estimator.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clarke_kkt import sampling
+from clarke_kkt import gendir, sampling
 from clarke_kkt.gendir import (
     BASE_STEP,
     BLOCK_FLOATS,
@@ -186,6 +188,45 @@ def test_batch_equals_single_direction_calls():
     assert estimate_gen_dir_derivs(A20, u, [phis[i] for i in order], cfg) == [batch[i] for i in order]
 
 
+@pytest.mark.parametrize("n, objective", [
+    (1, "pow(x1, 3) - abs(x1) + 2"),
+    (2, "x1 / (x2 + 2) + min(x1, x2)"),
+    (2, "-abs(x1 - x2) + 0.5 * pow(x2, 3)"),
+    (20, " + ".join(f"-abs(x{i})" for i in range(1, 21)) + " + pow(x1, 3) + x2 / (x3 + 2) + min(x4, x5) + 1"),
+], ids=["n1-pow-abs-const", "n2-div-min", "n2-negabs-pow", "n20-all"])
+def test_estimates_do_not_depend_on_the_block_size(monkeypatch, n, objective):
+    # one direction per block, several blocks with a partial last one, and one
+    # block: the buffer layout and the block bounds must not touch a bit
+    prob = parse_problem(f"dim {n}\nobjective {objective}")
+    cfg = GenDirConfig(levels=3, samples_per_level=50, seed=7)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-0.05, 0.05, n)
+    phis = list(rng.standard_normal((7, n)))
+    phis[2] = np.zeros(n)
+    phis[4] = phis[4].copy()
+    phis[4][0] = -0.0
+    singles = [estimate_gen_dir_deriv(prob, u, phi, cfg) for phi in phis]
+    assert singles[2].direction_norm == 0.0
+    for block_floats in (cfg.samples_per_level * n, 4 * cfg.samples_per_level * n + 1, 1 << 20):
+        monkeypatch.setattr(gendir, "BLOCK_FLOATS", block_floats)
+        assert estimate_gen_dir_derivs(prob, u, phis, cfg) == singles
+
+
+def test_one_call_stays_within_its_buffer_bound():
+    # the stepped points of a call live in one buffer of BLOCK_FLOATS floats;
+    # what the evaluation and the quotients need beside it stays under half that
+    cfg = GenDirConfig(seed=3)
+    phis = list(np.random.default_rng(0).standard_normal((104, 20)))
+    u = np.full(20, 0.01)
+    tracemalloc.start()
+    try:
+        estimate_gen_dir_derivs(A20, u, phis, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * BLOCK_FLOATS
+
+
 def test_membership_equals_single_direction_gaps_in_any_order():
     n = 5
     prob = parse_problem(f"dim {n}\nobjective " + " + ".join(f"abs(x{i})" for i in range(1, n + 1)))
@@ -209,7 +250,7 @@ P2 = parse_problem("dim 2\nobjective max(x1, x2)\neq x1 + x2")
 @pytest.mark.parametrize("prob, u, eps_sub", [
     (P2, np.zeros(2), None),
     (P2, np.array([0.3, -0.1]), 0.001),
-    (A20, np.full(20, 0.01), None),  # 160 directions, 8 per block
+    (A20, np.full(20, 0.01), None),  # 160 directions, 32 per block
 ], ids=["P2", "P2-shifted", "A20"])
 def test_check_properties_equals_one_check_at_a_time(prob, u, eps_sub):
     cfg = GenDirConfig(seed=5)

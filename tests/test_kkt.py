@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from clarke_kkt import kkt
+from clarke_kkt import kkt, solver
 from clarke_kkt.kkt import check_constraint_qualification, jacobians, verify_stationarity
 from clarke_kkt.problem import parse_problem
 
@@ -229,6 +229,17 @@ def test_verdict_error_on_non_finite_constraint_value(text, kind):
     assert report.message == message
     assert report.cq is None and report.certificate is None
     assert report.to_dict()["feasibility"] == {"eq_norm": eq_norm, "max_ineq_violation": None}
+
+
+def test_diverging_multiplier_solve_is_a_recovery_stage_error(monkeypatch):
+    # 2.5 times the solver's step diverges along the free z1 of P4's equality
+    # row; the objective guard turns that into a verdict, not a traceback
+    true_step = solver.spectral_upper_step
+    monkeypatch.setattr(solver, "spectral_upper_step", lambda H: 2.5 * true_step(H))
+    report = verify_stationarity(parse_problem("dim 2\nobjective 0.1 * x1\neq x1 + x2"), [0.0, 0.0])
+    assert report.verdict == "error"
+    assert report.failed_stage == "multiplier_recovery"
+    assert "objective increased" in report.message
 
 
 def test_non_finite_jacobian_is_cq_stage_error():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from clarke_kkt import solver
 from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.solver import (
     GAP_RTOL,
@@ -166,6 +167,16 @@ def test_non_finite_data_is_rejected(G):
     # 1e200 is finite, but its square in the normal matrix is not
     with pytest.raises(EstimationFailureError):
         solve_structured_ls(G)
+
+
+def test_objective_increase_is_an_error(monkeypatch):
+    # P4's equality row leaves z1 free, and here its curvature sets L, so 2.5
+    # times the step 1/L overshoots 2/L along z1 and the objective grows; an
+    # explicit raise, which python -O keeps
+    true_step = solver.spectral_upper_step
+    monkeypatch.setattr(solver, "spectral_upper_step", lambda H: 2.5 * true_step(H))
+    with pytest.raises(EstimationFailureError, match="objective increased"):
+        solve_structured_ls(np.array([[0.1], [0.0]]), J1=np.array([[1.0, 1.0]]))
 
 
 # --- Slater direction -------------------------------------------------------
