@@ -28,4 +28,4 @@ class EstimationFailureError(ClarkeKKTError):
 
 
 class CQIndeterminateError(ClarkeKKTError):
-    """Raised when the Slater solve of the constraint-qualification check does not converge."""
+    """Raised when a capped Slater solve neither finds a direction nor rules one out."""

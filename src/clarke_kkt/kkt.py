@@ -8,6 +8,9 @@ under the hypotheses that the equality Jacobian J1 has full row rank and a
 strictly feasible direction exists for the active inequalities.  The
 inclusion is certified by a structured least-squares residual over the
 sampled subdifferential; z2 is structurally zero off the active set.
+g <= 0 and c g <= 0 (c > 0) are one constraint, so activity and feasibility
+read the first-order distance g / |grad g|, and the Slater check and the
+multiplier solve read unit rows grad g / |grad g|.
 """
 from __future__ import annotations
 
@@ -19,13 +22,13 @@ import numpy as np
 from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
 from .gendir import GenDirConfig
 from .expressions import evaluate_with_kinks
-from .problem import ProblemDefinition, as_point, eval_constraints, eval_objective
-from .solver import slater_direction, solve_structured_ls
+from .problem import ProblemDefinition, as_point, eval_objective
+from .solver import slater_direction, solve_structured_ls, unit_rows
 from .subdiff import sample_subdifferential
 
 DEFAULT_ACTIVE_TOL = 1e-6
 DEFAULT_EPS_STAT = 1e-2
-FEAS_TOL = 1e-6
+FEAS_TOL = 1e-6  # first-order distance |h| / |grad h| or g / |grad g|
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,11 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
                                    active_tol=DEFAULT_ACTIVE_TOL) -> ConstraintQualificationReport:
     """Rank of J1, active inequality set, and a strictly feasible (Slater) direction.
 
-    The Jacobians, the inequality values that decide the active set and the
-    kink marks all come from one constraint_walk at u0.
-    The Slater direction phi has |phi|_inf <= SLATER_BOX_BOUND, J1 phi = 0 and
-    (J2 phi)_i <= -1 on the active set; slater_direction finds it from the
-    min-norm point of the projected active rows (Gordan's alternative), and
-    when that direction leaves the box, from the box problem itself.  An
-    unconverged solve that yields no direction raises CQIndeterminateError.
+    The Jacobians, the inequality values that decide the active set
+    (g_i >= -active_tol |grad g_i|) and the kink marks all come from one
+    constraint_walk at u0.  The Slater direction phi has J1 phi = 0 and
+    (J2 phi)_i <= -1 on the active set (see slater_direction); a capped solve
+    that decides neither way raises CQIndeterminateError.
     Empty active set makes the check vacuous.  An equality or active
     inequality with a kink at the point (see evaluate_with_kinks) has a
     one-piece Jacobian row that proves nothing: kink_free is False.  A non-finite
@@ -142,21 +143,18 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     if not np.all(np.isfinite(J)):
         raise EstimationFailureError("non-finite constraint Jacobian at the point")
     J1, J2 = J[:prob.m], J[prob.m:]
-    if prob.m > 0:
-        svals = np.linalg.svd(J1, compute_uv=False)
-        rank = int(np.sum(svals > 1e-8 * float(svals[0]) * max(prob.m, prob.n)))
-    else:
-        rank = 0
+    svals = np.linalg.svd(J1, compute_uv=False)  # empty without equalities
+    rank = int(np.sum(svals > 1e-8 * np.max(svals, initial=0.0) * max(prob.m, prob.n)))
     j1_onto = rank == prob.m
-    ineq_values, ineq_kinked = values[prob.m:], kinked[prob.m:]
-    active = tuple(i for i in range(prob.p) if ineq_values[i] >= -active_tol)
-    kink_free = not (np.any(kinked[:prob.m]) or np.any(ineq_kinked[list(active)]))
+    active = tuple(np.flatnonzero(values[prob.m:] >= -active_tol * unit_rows(J2)[1]).tolist())
+    kink_free = not (np.any(kinked[:prob.m]) or np.any(kinked[prob.m:][list(active)]))
     if not active:
         return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, kink_free, (J1, J2))
     phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
         raise CQIndeterminateError("Slater solve did not converge")
-    eq_ok = prob.m == 0 or float(np.max(np.abs(J1 @ phi))) <= 1e-8
+    # |J1_j phi| <= 1e-8 |J1_j| |phi|, on unit vectors so that nothing overflows
+    eq_ok = bool(np.all(np.abs(unit_rows(J1)[0] @ unit_rows(phi[None])[0][0]) <= 1e-8))
     ineq_ok = bool(np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
     slater_ok = eq_ok and ineq_ok
     return ConstraintQualificationReport(rank, j1_onto, phi if slater_ok else None, slater_ok,
@@ -169,6 +167,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     """Full pipeline: feasibility, constraint qualification, subdifferential
     sampling, multiplier recovery, verdict.
 
+    Infeasible iff some |h_j| > FEAS_TOL |grad h_j| or g_i > FEAS_TOL |grad g_i|
+    (a non-finite row counts as infinitely steep: the CQ check rejects it).
     Equality-only problems skip the Slater check (it is vacuous for them).
     The multiplier solve stops once its residual_lower_bound proves the
     residual exceeds eps_stat (see solve_structured_ls).
@@ -179,7 +179,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     u0 = as_point(u0, prob.n)
     feasibility = (np.nan, np.nan)  # unknown until the constraints evaluate
     try:
-        eq_values, ineq_values = eval_constraints(prob, u0)
+        values, J, _ = constraint_walk(prob, u0)
+        eq_values, ineq_values = values[:prob.m], values[prob.m:]
         eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
         max_viol = float(np.max(ineq_values, initial=-np.inf))
         feasibility = (eq_norm, max_viol)
@@ -192,7 +193,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
         if not np.all(np.isfinite(values)):
             return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
                                       message=f"non-finite {kind} value at the point")
-    if eq_norm > FEAS_TOL or max_viol > FEAS_TOL:
+    tolerance = FEAS_TOL * unit_rows(J)[1]
+    if np.any(np.abs(eq_values) > tolerance[:prob.m]) or np.any(ineq_values > tolerance[prob.m:]):
         return StationarityReport(feasibility, None, None, "infeasible")
     try:
         cq = check_constraint_qualification(prob, u0, active_tol=active_tol)
@@ -206,12 +208,13 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     try:
         sample = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
         G = sample.points.T  # n x k, the sampled gradients
-        result = solve_structured_ls(G, J1, J2[active], stop_above=eps_stat)
+        unit, norms = unit_rows(J2[active])
+        result = solve_structured_ls(G, J1, unit, stop_above=eps_stat)
     except ClarkeKKTError as exc:
         return StationarityReport(feasibility, cq, None, "error",
                                   failed_stage="multiplier_recovery", message=str(exc))
     z2 = np.zeros(prob.p)
-    z2[active] = result.z2_active
+    z2[active] = result.z2_active / norms
     slackness = float(ineq_values @ z2)
     certificate = MultiplierCertificate(G @ result.lam, result.lam, result.z1, z2, result.residual,
                                         slackness, result.converged, result.lower_bound)

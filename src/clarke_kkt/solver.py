@@ -5,12 +5,10 @@ least-squares program over simplex x free x nonnegative blocks; it is convex
 with a Lipschitz gradient, and the constant step 1/L with L the top
 eigenvalue of its Hessian (from LAPACK) guarantees a non-increasing
 objective.  The multipliers are its minimizer over the sampled
-subdifferential.  slater_direction calls it on the active inequality rows
-a_i projected off range(J1^T): by Gordan's alternative a strictly feasible
-direction exists iff the min-norm point w of that hull is nonzero (Wolfe
-1976), and then phi = -w / min_i(a_i . w) is one.  When that phi leaves the
-box |phi|_inf <= SLATER_BOX_BOUND, the same alternative on homogenized rows,
-the box's included, decides whether another direction fits.
+subdifferential.  slater_direction calls it on the active unit rows a_i
+projected off range(J1^T): by Gordan's alternative, the min-norm point w of
+their hull (Wolfe 1976) has |w| = max min_i(-a_i . phi) over unit phi in
+null(J1), attained by -w/|w|, and a direction counts iff |w| >= SLATER_MARGIN.
 
 The loop runs on buffers allocated once per call and writes every
 intermediate through ``out=``. Each floating-point operation keeps the order
@@ -34,7 +32,7 @@ import numpy as np
 
 from .errors import EstimationFailureError
 
-SLATER_BOX_BOUND = 1e3
+SLATER_MARGIN = 1e-3  # least uniform descent rate of a unit Slater direction on unit rows
 GAP_RTOL = 1e-3  # relative gap between residual and lower bound at an early stop
 
 
@@ -171,43 +169,40 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     return StructuredLSResult(x[:k], x[k:k + m], x[k + m:], residual, converged, iterations, bound)
 
 
-def slater_direction(J1, J2_active, iter_cap=50000):
-    """phi with J1 phi = 0, (J2_active phi)_i <= -1 and |phi|_inf <= SLATER_BOX_BOUND.
+def unit_rows(M):
+    """(M with each row divided by its 2-norm, the norms), overflow-safe: each
+    row is first divided by its max |entry|.  A zero row keeps norm 0, and a
+    row with a non-finite entry gets norm inf."""
+    M = np.asarray(M, dtype=float)
+    top = np.max(np.abs(M), axis=1, initial=0.0)
+    finite = np.isfinite(top)
+    scaled = M / np.where(finite & (top > 0.0), top, 1.0)[:, None]
+    length = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    # a finite row can be longer than the largest float; inf / inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scaled / np.where(length > 0.0, length, 1.0)[:, None], np.where(finite, top * length, np.inf)
 
-    Tries phi = -w / min(J2_active w) from the min-norm point w of conv{P a_i}
-    (module docstring), and when that gives none in the box, the box problem
-    itself.  Returns (phi, True), or (zeros, converged) without a direction: a
-    direction is certified by its own inequalities, not by the solve's
-    convergence.  Raises EstimationFailureError when the normal matrix overflows.
-    """
+
+def slater_direction(J1, J2_active, iter_cap=50000):
+    """(phi, True) with J1 phi = 0 and (J2_active phi)_i <= -1 if a direction
+    reaches SLATER_MARGIN (module docstring), else (zeros, decided): one solve,
+    whose lower_bound min_i(a_i . w) / |w| certifies -w/|w|.  None exists when
+    the solve converged or its residual (which bounds every margin) is below
+    SLATER_MARGIN, when an active row is zero, or when phi would overflow."""
     J2a = np.asarray(J2_active, dtype=float)
     a, n = J2a.shape
     if a == 0:
         return np.zeros(n), True
+    unit, norms = unit_rows(J2a)
+    if not np.all(norms > 0.0):
+        return np.zeros(n), True
     J1 = np.zeros((0, n)) if J1 is None else np.asarray(J1, dtype=float).reshape(-1, n)
     Q = np.linalg.qr(J1.T)[0]
-    PA = J2a.T - Q @ (Q.T @ J2a.T)
-    try:
-        result = solve_structured_ls(PA, iter_cap=iter_cap)
-    except EstimationFailureError as exc:
-        raise EstimationFailureError("Slater normal matrix is not finite") from exc
-    w = PA @ result.lam
-    margin = float(np.min(J2a @ w))
-    bound = SLATER_BOX_BOUND
-    # compared before dividing, so a tiny margin cannot overflow phi
-    if margin > 0.0 and np.max(np.abs(w)) <= bound * margin:
-        return 0.0 - w / margin, True  # 0.0 - keeps -0.0 out of the report
-    if bound * np.sum(np.abs(w)) < 1.0:  # a direction has 1 <= -w.phi <= |w|_1 bound
-        return np.zeros(n), True
-    # The box itself: y = (phi, s) with (P a_i, 1/bound).y < 0 and
-    # (+-P e_j, -1).y < 0 exists iff the min-norm point v of these rows is
-    # nonzero (unit rows, same answer); then y = -v and phi = bound y_phi / y_s.
-    P = np.eye(n) - Q @ Q.T
-    R = np.vstack([np.column_stack([PA.T, np.full(a, 1.0 / bound)]),
-                   np.column_stack([P, -np.ones(n)]), np.column_stack([-P, -np.ones(n)])])
-    R /= np.linalg.norm(R, axis=1, keepdims=True)
-    box = solve_structured_ls(R.T, iter_cap=iter_cap)
-    v = R.T @ box.lam
-    if np.min(R @ v) > 0.0:
-        return 0.0 + np.clip(bound * v[:n] / v[n], -bound, bound), True
-    return np.zeros(n), box.converged
+    PA = unit.T - Q @ (Q.T @ unit.T)
+    result = solve_structured_ls(PA, iter_cap=iter_cap, stop_above=SLATER_MARGIN)
+    if result.lower_bound >= SLATER_MARGIN:
+        w = PA @ result.lam
+        with np.errstate(over="ignore", divide="ignore"):  # checked just below
+            phi = 0.0 - w / (float(np.min(unit @ w)) * float(np.min(norms)))  # 0.0 - keeps -0.0 out
+        return (phi, True) if np.all(np.isfinite(phi)) else (np.zeros(n), True)
+    return np.zeros(n), result.converged or result.residual < SLATER_MARGIN

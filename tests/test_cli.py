@@ -442,17 +442,18 @@ def test_analyze_non_finite_jacobian_is_cq_stage_error(tmp_path, capsys):
     assert payload["cq"] is None and payload["certificate"] is None
 
 
-def test_analyze_slater_overflow_is_cq_stage_error(tmp_path, capsys):
-    # the Jacobian 1e160 is finite, but the Slater normal matrix squares it
+def test_analyze_huge_inequality_row_is_not_stationary(tmp_path, capsys):
+    # the row 1e160 squared overflows, but every decision reads its unit row:
+    # x1 on 1e160 x1 <= 0 descends along -x1, so 0 is not stationary
     path = tmp_path / "slater.prob"
     path.write_text("dim 1\nobjective x1\nineq 1e160 * x1\n", encoding="utf-8")
-    code, out = run_cli(capsys, "analyze", str(path), "--at", "0", "--json")
-    assert code == 2
-    payload = _strict_json(out)
-    assert payload["verdict"] == "error"
-    assert payload["failed_stage"] == "constraint_qualification"
-    assert payload["message"] == "Slater normal matrix is not finite"
-    assert capsys.readouterr().err == ""
+    code = cli.main(["analyze", str(path), "--at", "0", "--json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 3
+    payload = _strict_json(captured.out)
+    assert payload["verdict"] == "not_stationary"
+    assert payload["cq"]["slater_direction"] == [pytest.approx(-1e-160, rel=1e-15)]
 
 
 def test_analyze_huge_gradients_print_no_warning(tmp_path, capsys):

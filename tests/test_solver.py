@@ -9,10 +9,11 @@ from clarke_kkt import solver
 from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.solver import (
     GAP_RTOL,
-    SLATER_BOX_BOUND,
+    SLATER_MARGIN,
     slater_direction,
     solve_structured_ls,
     spectral_upper_step,
+    unit_rows,
 )
 
 
@@ -204,46 +205,73 @@ def test_slater_infeasible_reports_violation():
     assert np.max(J2a @ phi) > -1.0 + 1e-8
 
 
-def test_slater_non_finite_normal_matrix_is_rejected():
-    # 1e160 is finite, but its square in the normal matrix is not
-    with pytest.raises(EstimationFailureError, match="Slater normal matrix"):
-        slater_direction(np.zeros((0, 1)), np.array([[1e160]]))
+def test_unit_rows_are_overflow_safe():
+    # 3e200 and 4e200 square to inf, 1e-320 to 0; a zero row stays zero and a
+    # non-finite row counts as infinitely long
+    M = np.array([[3e200, -4e200], [1e-320, 0.0], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]])
+    with np.errstate(all="raise"):
+        unit, norms = unit_rows(M)
+    np.testing.assert_allclose(unit[:3], [[0.6, -0.8], [1.0, 0.0], [0.0, 0.0]], rtol=1e-15)
+    np.testing.assert_allclose(norms, [5e200, 1e-320, 0.0, np.inf, np.inf], rtol=1e-15)
 
 
-def test_slater_direction_outside_the_box_is_rejected():
-    # -1e-4 phi <= -1 needs |phi| >= 1e4 > SLATER_BOX_BOUND
-    phi, converged = slater_direction(np.zeros((0, 1)), np.array([[1e-4]]))
+def test_slater_huge_row_gives_a_tiny_direction():
+    # 1e160 squared overflows, but the solve sees the unit row
+    phi, converged = slater_direction(np.zeros((0, 1)), np.array([[1e160]]))
+    assert converged
+    assert phi[0] == pytest.approx(-1e-160, rel=1e-15)
+
+
+def test_slater_direction_beyond_the_largest_float_is_none():
+    # the row 1e-310 would need phi = -1e310, which no float holds
+    with np.errstate(all="raise"):
+        phi, converged = slater_direction(np.zeros((0, 1)), np.array([[1e-310]]))
     assert converged
     np.testing.assert_array_equal(phi, np.zeros(1))
 
 
-def test_slater_direction_at_the_box_edge_is_found():
-    # the min-2-norm direction -a/|a|^2 has |phi_1| of about 1067, outside the
-    # box, but phi = (-1000, -1000) gives a.phi = -1.131
-    a = np.array([8e-4, 3.31e-4])
-    assert np.max(np.abs(a / a.dot(a))) > SLATER_BOX_BOUND
-    phi, converged = slater_direction(np.zeros((0, 2)), a.reshape(1, 2))
+def test_slater_direction_of_a_tiny_row_is_found():
+    # g <= 0 and 1e-4 g <= 0 are one constraint: phi = -1e4 meets the raw row
+    phi, converged = slater_direction(np.zeros((0, 1)), np.array([[1e-4]]))
     assert converged
-    assert a @ phi <= -1.0
-    assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
+    assert 1e-4 * phi[0] <= -1.0
+
+
+def test_slater_direction_at_the_box_edge_is_found():
+    # "box edge": rows whose directions lie near |phi|_inf = 1000; the answer
+    # is the min-2-norm direction -a/|a|^2, whatever its length
+    a = np.array([[8e-4, 3.31e-4]])
+    phi, converged = slater_direction(np.zeros((0, 2)), a)
+    assert converged
+    assert (a @ phi)[0] <= -1.0
+    np.testing.assert_allclose(phi, -a[0] / a[0].dot(a[0]), rtol=1e-12)
+
+
+def test_slater_direction_just_past_the_box_edge_is_found():
+    # no direction with |phi|_inf <= 1000 reaches a.phi <= -1 (best -0.999)
+    a = np.array([[5e-4, 4.99e-4]])
+    phi, converged = slater_direction(np.zeros((0, 2)), a)
+    assert converged
+    assert (a @ phi)[0] <= -1.0
+    np.testing.assert_allclose(phi, -a[0] / a[0].dot(a[0]), rtol=1e-12)
 
 
 def test_slater_direction_at_the_box_edge_with_equality_row():
-    # J1 = e_3 fixes phi_3 = 0; in the remaining plane the row is the one above
+    # J1 = e_3 fixes phi_3 = 0.  For the row (8e-4, 3.31e-4, 1) the unit row
+    # projected off e_3 is 8.66e-4 long, so no unit direction in null(J1)
+    # descends it at rate SLATER_MARGIN; with a third entry of 1e-3 it is
+    # 0.65 long and the direction is found.  Neither answer moves with scale.
     J1 = np.array([[0.0, 0.0, 1.0]])
-    J2a = np.array([[8e-4, 3.31e-4, 1.0]])
-    phi, converged = slater_direction(J1, J2a)
-    assert converged
-    assert abs(phi[2]) <= 1e-8
-    assert (J2a @ phi)[0] <= -1.0 + 1e-8
-    assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
-
-
-def test_slater_direction_just_past_the_box_edge_is_rejected():
-    # the best box direction (-1000, -1000) reaches only a.phi = -0.999
-    phi, converged = slater_direction(np.zeros((0, 2)), np.array([[5e-4, 4.99e-4]]))
-    assert converged
-    np.testing.assert_array_equal(phi, np.zeros(2))
+    for scale in (1e-3, 1.0, 1e3):
+        steep = scale * np.array([[8e-4, 3.31e-4, 1.0]])
+        phi, converged = slater_direction(J1, steep)
+        assert converged
+        np.testing.assert_array_equal(phi, np.zeros(3))
+        mild = scale * np.array([[8e-4, 3.31e-4, 1e-3]])
+        phi, converged = slater_direction(J1, mild)
+        assert converged
+        assert abs(phi[2]) <= 1e-8 * np.linalg.norm(phi)
+        assert (mild @ phi)[0] <= -1.0 + 1e-12
 
 
 def test_slater_direction_is_certified_before_the_solve_converges():
@@ -254,8 +282,10 @@ def test_slater_direction_is_certified_before_the_solve_converges():
 
 
 def test_slater_unconverged_without_direction_is_reported():
-    phi, converged = slater_direction(np.zeros((0, 2)), np.array([[1.0, 0.0], [-2.0, 0.0]]),
-                                      iter_cap=1)
+    # 0 is in the hull of the unit rows, but one step from the uniform start
+    # leaves a residual above SLATER_MARGIN: the capped solve decides nothing
+    phi, converged = slater_direction(np.zeros((0, 2)),
+                                      np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, -3.0]]), iter_cap=1)
     assert not converged
     np.testing.assert_array_equal(phi, np.zeros(2))
 
@@ -272,14 +302,12 @@ def test_slater_empty_active_set():
 @example(n=2, m=0, a=2, negate=True, seed=0)  # a row and its negation: no direction
 def test_slater_direction_follows_gordans_alternative(n, m, a, negate, seed):
     # Either a direction certifies itself, or the hull of the projected active
-    # rows (the grid oracle over conv{a_i} + range(J1^T)) reaches about 0.
-    # Rows this size put any direction deep inside the box, so this checks
-    # existence only; 2e-3 is the grid's own error, and the box limit is
-    # tested below.  The grid's k = 3, m = 1 case takes tens of seconds,
-    # hence a + m <= 3.
+    # unit rows (the grid oracle over conv{a_i / |a_i|} + range(J1^T)) reaches
+    # below SLATER_MARGIN; 2e-3 is the grid's own error.  The grid's k = 3,
+    # m = 1 case takes tens of seconds, hence a + m <= 3.
     assume(a + m <= 3)
     rng = np.random.default_rng(seed)
-    # unit J1 rows and entries in [-1/2, 1/2] keep the grid's z1 within its box
+    # unit J1 rows keep the grid's z1 within its box
     J1 = rng.uniform(-1.0, 1.0, size=(m, n))
     J1 /= np.linalg.norm(J1, axis=1, keepdims=True)
     J2a = rng.uniform(-0.5, 0.5, size=(a, n))
@@ -287,64 +315,45 @@ def test_slater_direction_follows_gordans_alternative(n, m, a, negate, seed):
         J2a[-1] = -J2a[0]
     phi, converged = slater_direction(J1, J2a)
     if phi.any():
-        assert np.all(np.abs(J1 @ phi) <= 1e-8)
+        assert np.all(np.abs(J1 @ phi) <= 1e-8 * np.linalg.norm(phi))
         assert np.all(J2a @ phi <= -1.0 + 1e-8)
-        assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
     elif converged:
-        oracle = grid_min_residual(J2a.T, J1 if m else None)
-        assert oracle <= 1.0 / SLATER_BOX_BOUND + 2e-3
+        oracle = grid_min_residual((J2a / np.linalg.norm(J2a, axis=1, keepdims=True)).T,
+                                   J1 if m else None)
+        assert oracle <= SLATER_MARGIN + 2e-3
 
 
-def grid_min_l1(J2a, J1=None, step=1e-3):
-    """Brute-force oracle: min |J2a^T lam + J1^T z1|_1 over a grid of lam in
-    the simplex (a <= 3) and z1 (m <= 1, unit row), with the grid's error bound.
-
-    By LP duality, min over phi in the box and null(J1) of max_i a_i.phi is
-    -SLATER_BOX_BOUND times this minimum: a direction with J2a phi < -1 exists
-    iff SLATER_BOX_BOUND * min > 1.
-    """
-    a = J2a.shape[0]
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    if a == 1:
-        lams = np.array([[1.0]])
-    elif a == 2:
-        lams = np.column_stack([ticks, 1.0 - ticks])
-    else:
-        a_grid, b_grid = np.meshgrid(ticks, ticks, indexing="ij")
-        mask = a_grid + b_grid <= 1.0 + 1e-12
-        lams = np.column_stack([a_grid[mask], b_grid[mask], 1.0 - a_grid[mask] - b_grid[mask]])
-    points = lams @ J2a
-    row_l1 = float(np.max(np.sum(np.abs(J2a), axis=1)))
-    error = 4.0 * step * row_l1  # any lam is within 4 step (l1) of a grid lam
-    if J1 is None:
-        return float(np.min(np.sum(np.abs(points), axis=1))), error
-    # the optimal z1 has |z1| <= 2 |J2a^T lam|_1 / |J1|_1 <= 2 row_l1
-    z_step = 2.0 * row_l1 * step
-    row = J1[0]
-    best = min(float(np.min(np.sum(np.abs(points + z1 * row), axis=1)))
-               for z1 in np.arange(-2.0 * row_l1, 2.0 * row_l1 + z_step / 2, z_step))
-    return best, error + z_step / 2 * float(np.sum(np.abs(row)))
+GRID_ANGLES = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
+GRID_ERROR = np.pi / GRID_ANGLES.size  # min_i(-a_i . phi) is 1-Lipschitz on unit rows
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 3), st.floats(-3.5, -2.5),
-       st.integers(0, 2**32 - 1))
-def test_slater_direction_decides_the_box(n, m, a, log_scale, seed):
-    # Rows of size about 1e-3 put the directions near the box edge, where the
-    # min-norm direction can leave a box that still holds another direction.
-    assume(a + m <= 3)
-    rng = np.random.default_rng(seed)
-    J1 = rng.uniform(-1.0, 1.0, size=(m, n))
-    J1 /= np.linalg.norm(J1, axis=1, keepdims=True)
-    J2a = rng.uniform(-1.0, 1.0, size=(a, n)) * 10.0 ** log_scale
-    phi, converged = slater_direction(J1, J2a)
+def grid_max_margin(rows):
+    """Brute-force oracle: max over a grid of the unit circle of min_i(-a_i . phi)
+    for unit rows a_i in R^2, within GRID_ERROR of the true maximum."""
+    circle = np.column_stack([np.cos(GRID_ANGLES), np.sin(GRID_ANGLES)])
+    return float(np.max(np.min(-(circle @ rows.T), axis=1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(-8.0, 8.0)), min_size=1, max_size=3),
+       st.floats(0.0, 2.0 * np.pi))
+@example(rows=[(0.0, 0.0), (np.pi - 2.2e-3, 5.0)], turn=0.3)  # margin 1.1e-3: found
+@example(rows=[(0.0, -6.0), (np.pi - 1.8e-3, 0.0)], turn=1.0)  # margin 0.9e-3: none
+@example(rows=[(0.0, 0.0), (2.0, 3.0), (4.0, -3.0)], turn=0.0)  # 0 in the hull
+def test_slater_verdict_matches_a_unit_circle_grid(rows, turn):
+    # Rows at the given angles (plus a common turn) with lengths 10^e: a
+    # direction is found iff the best uniform descent rate of a unit direction
+    # on the unit rows reaches SLATER_MARGIN, whatever the rows' lengths.
+    angles = np.array([angle for angle, _ in rows]) + turn
+    unit = np.column_stack([np.cos(angles), np.sin(angles)])
+    J2a = unit * (10.0 ** np.array([exponent for _, exponent in rows]))[:, None]
+    best = grid_max_margin(unit)
+    assume(abs(best - SLATER_MARGIN) > GRID_ERROR)
+    phi, converged = slater_direction(np.zeros((0, 2)), J2a)
+    assert converged
+    assert phi.any() == (best > SLATER_MARGIN)
     if phi.any():
-        assert np.all(np.abs(J1 @ phi) <= 1e-8)
-        assert np.all(J2a @ phi <= -1.0 + 1e-8)
-        assert np.max(np.abs(phi)) <= SLATER_BOX_BOUND
-    elif converged:
-        oracle, error = grid_min_l1(J2a, J1 if m else None)
-        assert SLATER_BOX_BOUND * (oracle - error) <= 1.0
+        assert np.all(J2a @ phi <= -1.0 + 1e-9)
 
 
 # --- the step 1 / lambda_max(H) -------------------------------------------------
