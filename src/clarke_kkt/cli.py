@@ -16,8 +16,8 @@ Without --seed the seed comes from $CLARKE_KKT_SEED, else 42; either must
 be a nonnegative integer.  A command rejects an option it does not read,
 float options must be finite, --eps-stat, --active-tol and --eps-sub must be
 nonnegative, and --sd-radius and --sd-count must be positive.  A rejected
-option, an unreadable input file, an expression that nests too deeply for
-Python's recursion limit or a failed `suite --export` write exits 2.
+option, an unreadable or malformed input file or a failed `suite --export`
+write exits 2.
 
 Exit codes for analyze: 0 stationary, 3 not stationary, 4 infeasible,
 5 constraint qualification failed, 2 input or processing error (verdict
@@ -352,9 +352,6 @@ def main(argv=None) -> int:
         return args.func(args, sys.stdout)
     except ClarkeKKTError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except RecursionError:  # the parser and the tree walks recurse once per level
-        print("error: an expression nests too deeply", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

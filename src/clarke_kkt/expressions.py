@@ -12,6 +12,10 @@ Grammar (one expression; problem files are handled in problem.py):
 
 A leading "-" before a numeric literal folds into the literal, so the
 printer/parser round trip is structurally exact for parsed trees.
+
+A tree's tape lists its nodes in post order, left operand first: the order of
+an evaluation procedure (Griewank and Walther 2008).  Each walker is one loop
+over the tape with a value stack, so no tree is too deep to walk.
 """
 from __future__ import annotations
 
@@ -24,48 +28,74 @@ import numpy as np
 
 from .errors import EvaluationDomainError, ProblemParseError
 
+MAX_NESTING = 100  # parenthesis depth; the recursive-descent parser takes 4 frames per level
+
+
+def _post_order(root):
+    """The nodes of the tree at root in post order, left operand first."""
+    tape, stack = [], [root]
+    while stack:  # visits root, right subtree, left subtree: the post order reversed
+        node = stack.pop()
+        if not isinstance(node, _Node):
+            raise TypeError(f"not an expression node: {node!r}")
+        tape.append(node)
+        stack += [getattr(node, f) for f in ("operand", "base", "left", "right") if hasattr(node, f)]
+    return tape[::-1]
+
+
+class _Node:
+    """Base of the node classes.  A root keeps its tape in its __dict__, which frozen
+    dataclasses allow; a cache keyed by the tree would hash it, which recurses."""
+
+    tape = functools.cached_property(_post_order)
+
+
+def _tape(expr):
+    """expr's tape; a root that is not a node raises as an operand does."""
+    return expr.tape if isinstance(expr, _Node) else _post_order(expr)
+
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 1-based
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expression"
 
 
 @dataclass(frozen=True)
-class Abs:
+class Abs(_Node):
     operand: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of "+", "-", "*", "/"
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class MaxOp:
+class MaxOp(_Node):
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class MinOp:
+class MinOp(_Node):
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class PowOp:
+class PowOp(_Node):
     base: "Expression"
     exponent: int  # non-negative integer literal
 
@@ -87,44 +117,43 @@ def evaluate(expr, u):
     check results for finiteness and report the cause themselves.
     """
     u = np.asarray(u, dtype=float)
+    rows = u[None] if u.ndim == 1 else u  # a point as a one-row batch: numpy scalar powers round differently
+    stack = []
     with np.errstate(over="ignore", invalid="ignore"):
-        if u.ndim == 1:  # as a one-row batch: numpy scalar powers can round differently
-            return _evaluate(expr, u[None])[0]
-        return _evaluate(expr, u)
+        for node in _tape(expr):
+            if isinstance(node, (Const, Var)):
+                stack.append(_leaf(node, rows))
+            elif isinstance(node, Neg):
+                stack[-1] = -stack[-1]
+            elif isinstance(node, Abs):
+                stack[-1] = np.abs(stack[-1])
+            elif isinstance(node, PowOp):
+                stack[-1] = stack[-1] ** node.exponent
+            else:
+                right = stack.pop()
+                stack[-1] = _combine(node, stack[-1], right)
+    return stack[0][0] if u.ndim == 1 else stack[0]
 
 
-def _evaluate(expr, u):
-    if isinstance(expr, Const):
-        return np.full(u.shape[:-1], expr.value)
-    if isinstance(expr, Var):
-        if not 1 <= expr.index <= u.shape[-1]:
-            raise EvaluationDomainError(
-                f"variable x{expr.index} out of range for dimension {u.shape[-1]}"
-            )
-        return u[..., expr.index - 1]
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.operand, u)
-    if isinstance(expr, Abs):
-        return np.abs(_evaluate(expr.operand, u))
-    if isinstance(expr, BinOp):
-        left = _evaluate(expr.left, u)
-        right = _evaluate(expr.right, u)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if np.any(right == 0.0):
-            raise EvaluationDomainError("division by zero during evaluation")
-        return left / right
-    if isinstance(expr, MaxOp):
-        return np.maximum(_evaluate(expr.left, u), _evaluate(expr.right, u))
-    if isinstance(expr, MinOp):
-        return np.minimum(_evaluate(expr.left, u), _evaluate(expr.right, u))
-    if isinstance(expr, PowOp):
-        return _evaluate(expr.base, u) ** expr.exponent
-    raise TypeError(f"not an expression node: {expr!r}")
+def _leaf(node, u):
+    """The value of a Const or Var node at the points u."""
+    if isinstance(node, Const):
+        return np.full(u.shape[:-1], node.value)
+    if not 1 <= node.index <= u.shape[-1]:
+        raise EvaluationDomainError(f"variable x{node.index} out of range for dimension {u.shape[-1]}")
+    return u[..., node.index - 1]
+
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _combine(node, left, right):
+    """The value of a BinOp, MaxOp or MinOp node from its operands' values."""
+    if isinstance(node, (MaxOp, MinOp)):
+        return (np.maximum if isinstance(node, MaxOp) else np.minimum)(left, right)
+    if node.op == "/" and np.any(right == 0.0):
+        raise EvaluationDomainError("division by zero during evaluation")
+    return _ARITHMETIC[node.op](left, right)
 
 
 def evaluate_with_gradient(expr, points):
@@ -148,68 +177,47 @@ def evaluate_with_kinks(expr, points):
         raise ValueError(f"points have shape {points.shape}, expected (k, n)")
     if not np.all(np.isfinite(points)):
         raise ValueError("point has non-finite coordinates")
+    stack = []  # (value, gradient, kinked) of each operand not yet used
     with np.errstate(over="ignore", invalid="ignore"):
-        values, gradients, kinked = _forward(expr, points)
+        for node in _tape(expr):
+            if isinstance(node, (Const, Var)):
+                value, gradient = _leaf(node, points), np.zeros(points.shape)
+                kinked = np.zeros(len(points), dtype=bool)
+                if isinstance(node, Var):
+                    gradient[:, node.index - 1] = 1.0
+            elif isinstance(node, (Neg, Abs, PowOp)):
+                value, gradient, kinked = stack.pop()
+                if isinstance(node, Neg):
+                    value, gradient = -value, -gradient
+                elif isinstance(node, Abs):
+                    kinked = kinked | (value == 0.0) & np.any(gradient != 0.0, axis=1)
+                    value, gradient = np.abs(value), np.where(value[:, None] < 0.0, -gradient, gradient)
+                else:
+                    p = node.exponent
+                    slope = p * value ** (p - 1) if p else np.zeros(len(points))  # value ** -1 fails at 0
+                    value, gradient = value ** p, slope[:, None] * gradient
+            else:
+                right, dright, right_kinked = stack.pop()
+                left, dleft, kinked = stack.pop()
+                value, kinked = _combine(node, left, right), kinked | right_kinked
+                if isinstance(node, (MaxOp, MinOp)):
+                    kinked = kinked | (left == right) & np.any(dleft != dright, axis=1)
+                    keep_left = left >= right if isinstance(node, MaxOp) else left <= right
+                    gradient = np.where(keep_left[:, None], dleft, dright)
+                elif node.op in "+-":
+                    gradient = dleft + dright if node.op == "+" else dleft - dright
+                elif node.op == "*":
+                    gradient = dleft * right[:, None] + left[:, None] * dright
+                else:
+                    gradient = (dleft - value[:, None] * dright) / right[:, None]
+            stack.append((value, gradient, kinked))
+    values, gradients, kinked = stack[0]
     return values, gradients + 0.0, kinked  # no -0.0 in reports
-
-
-def _forward(expr, u):
-    """(value, gradient, kinked) of expr at the rows of u; the value as _evaluate computes it."""
-    if isinstance(expr, Const):
-        return _evaluate(expr, u), np.zeros(u.shape), np.zeros(len(u), dtype=bool)
-    if isinstance(expr, Var):
-        value = _evaluate(expr, u)  # checks the index
-        gradient = np.zeros(u.shape)
-        gradient[:, expr.index - 1] = 1.0
-        return value, gradient, np.zeros(len(u), dtype=bool)
-    if isinstance(expr, Neg):
-        value, gradient, kinked = _forward(expr.operand, u)
-        return -value, -gradient, kinked
-    if isinstance(expr, Abs):
-        value, gradient, kinked = _forward(expr.operand, u)
-        kinked = kinked | (value == 0.0) & np.any(gradient != 0.0, axis=1)
-        return np.abs(value), np.where(value[:, None] < 0.0, -gradient, gradient), kinked
-    if isinstance(expr, PowOp):
-        value, gradient, kinked = _forward(expr.base, u)
-        p = expr.exponent
-        slope = p * value ** (p - 1) if p else np.zeros(len(u))  # value ** -1 fails at 0
-        return value ** p, slope[:, None] * gradient, kinked
-    if not isinstance(expr, (BinOp, MaxOp, MinOp)):
-        raise TypeError(f"not an expression node: {expr!r}")
-    left, dleft, kinked = _forward(expr.left, u)
-    right, dright, right_kinked = _forward(expr.right, u)
-    kinked = kinked | right_kinked
-    if isinstance(expr, (MaxOp, MinOp)):
-        kinked = kinked | (left == right) & np.any(dleft != dright, axis=1)
-    if isinstance(expr, MaxOp):
-        return np.maximum(left, right), np.where((left >= right)[:, None], dleft, dright), kinked
-    if isinstance(expr, MinOp):
-        return np.minimum(left, right), np.where((left <= right)[:, None], dleft, dright), kinked
-    if expr.op == "+":
-        return left + right, dleft + dright, kinked
-    if expr.op == "-":
-        return left - right, dleft - dright, kinked
-    if expr.op == "*":
-        return left * right, dleft * right[:, None] + left[:, None] * dright, kinked
-    if np.any(right == 0.0):
-        raise EvaluationDomainError("division by zero during evaluation")
-    value = left / right
-    return value, (dleft - value[:, None] * dright) / right[:, None], kinked
 
 
 def max_var_index(expr) -> int:
     """Largest variable index referenced by expr (0 for constant expressions)."""
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, (Neg, Abs)):
-        return max_var_index(expr.operand)
-    if isinstance(expr, (BinOp, MaxOp, MinOp)):
-        return max(max_var_index(expr.left), max_var_index(expr.right))
-    if isinstance(expr, PowOp):
-        return max_var_index(expr.base)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return max((node.index for node in _tape(expr) if isinstance(node, Var)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,45 +230,32 @@ _PREC_NEG = 3
 _PREC_ATOM = 4
 
 
-def _prec(expr) -> int:
-    if isinstance(expr, BinOp):
-        return _PREC_ADD if expr.op in "+-" else _PREC_MUL
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    if isinstance(expr, Const) and np.signbit(expr.value):
-        return _PREC_NEG  # prints with a leading minus (-0.0 too), binds like a factor
-    return _PREC_ATOM
-
-
 def to_text(expr) -> str:
     """Render expr so that parse_expression(to_text(expr)) is structurally identical."""
-    if isinstance(expr, Const):
-        return repr(float(expr.value))
-    if isinstance(expr, Var):
-        return f"x{expr.index}"
-    if isinstance(expr, Abs):
-        return f"abs({to_text(expr.operand)})"
-    if isinstance(expr, MaxOp):
-        return f"max({to_text(expr.left)}, {to_text(expr.right)})"
-    if isinstance(expr, MinOp):
-        return f"min({to_text(expr.left)}, {to_text(expr.right)})"
-    if isinstance(expr, PowOp):
-        return f"pow({to_text(expr.base)}, {expr.exponent})"
-    if isinstance(expr, Neg):
-        inner = to_text(expr.operand)
-        if _prec(expr.operand) < _PREC_ATOM:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        mine = _prec(expr)
-        left = to_text(expr.left)
-        if _prec(expr.left) < mine:
-            left = f"({left})"
-        right = to_text(expr.right)
-        if _prec(expr.right) <= mine:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"not an expression node: {expr!r}")
+    stack = []  # (text, binding precedence) of each operand not yet printed
+    for node in _tape(expr):
+        if isinstance(node, Const):  # a leading minus (-0.0 too) binds like a factor
+            item = repr(float(node.value)), _PREC_NEG if np.signbit(node.value) else _PREC_ATOM
+        elif isinstance(node, Var):
+            item = f"x{node.index}", _PREC_ATOM
+        elif isinstance(node, Abs):
+            item = f"abs({stack.pop()[0]})", _PREC_ATOM
+        elif isinstance(node, PowOp):
+            item = f"pow({stack.pop()[0]}, {node.exponent})", _PREC_ATOM
+        elif isinstance(node, Neg):
+            inner, prec = stack.pop()
+            item = f"-({inner})" if prec < _PREC_ATOM else f"-{inner}", _PREC_NEG
+        else:
+            (right, right_prec), (left, left_prec) = stack.pop(), stack.pop()
+            if isinstance(node, (MaxOp, MinOp)):
+                item = f"{'max' if isinstance(node, MaxOp) else 'min'}({left}, {right})", _PREC_ATOM
+            else:
+                mine = _PREC_ADD if node.op in "+-" else _PREC_MUL
+                left = f"({left})" if left_prec < mine else left
+                right = f"({right})" if right_prec <= mine else right
+                item = f"{left} {node.op} {right}", mine
+        stack.append(item)
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +338,8 @@ class _Parser:
         tok = self._next()
         kind, text, col = tok
         if kind == "num":
+            if np.isinf(float(text)):
+                raise ProblemParseError("number out of range", self.line, col)
             return Const(float(text))
         if kind == "var":
             index = int(text[1:])
@@ -381,6 +378,11 @@ def parse_expression(text, line=1, col_offset=0) -> Expression:
     tokens = _tokenize(text, line, col_offset)
     if not tokens:
         raise ProblemParseError("empty expression", line, col_offset + 1)
+    depth = 0
+    for _, token, col in tokens:
+        depth += (token == "(") - (token == ")")
+        if depth > MAX_NESTING:
+            raise ProblemParseError(f"parentheses nest more than {MAX_NESTING} deep", line, col)
     parser = _Parser(tokens, line, col_offset + len(text) + 1)
     node = parser.expr()
     extra = parser._peek()

@@ -76,26 +76,40 @@ def test_analyze_parse_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("objective", ["(" * 300 + "x1" + ")" * 300,
-                                       " + ".join(["abs(x1)"] * 990)])
+@pytest.mark.parametrize("objective", ["(" * 300 + "x1" + ")" * 300])
 def test_analyze_deep_expression_exit_two(objective, tmp_path, capsys):
-    # the parser recurses per parenthesis and the tree walks per sum term, so
-    # both exceed Python's recursion limit; no traceback reaches the user
+    # the parser rejects the 101st nested parenthesis (column 10 + 101) before
+    # it recurses; no traceback reaches the user
     path = tmp_path / "deep.prob"
     path.write_text(f"dim 1\nobjective {objective}\n", encoding="utf-8")
     code = cli.main(["analyze", str(path), "--at", "0"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: an expression nests too deeply\n"
+    assert captured.err == "error: line 2, col 111: parentheses nest more than 100 deep\n"
 
 
-def test_analyze_900_term_sum(tmp_path, capsys):
+@pytest.mark.parametrize("depth, code, err", [
+    (100, 3, ""),
+    (101, 2, "error: line 2, col 111: parentheses nest more than 100 deep\n"),
+])
+def test_analyze_nesting_bound(depth, code, err, tmp_path, capsys):
+    path = tmp_path / "nested.prob"
+    path.write_text("dim 1\nobjective " + "(" * depth + "x1" + ")" * depth + "\n", encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--at", "0"]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("terms", [900, 990, 20000])
+def test_analyze_long_sum(terms, tmp_path, capsys):
+    # every tree walk is a loop over the tape, so a sum of any length analyzes
     path = tmp_path / "sum.prob"
-    path.write_text("dim 1\nobjective " + " + ".join(["abs(x1)"] * 900) + "\n", encoding="utf-8")
-    code, out = run_cli(capsys, "analyze", str(path), "--at", "0", "--json")
+    path.write_text("dim 1\nobjective " + " + ".join(["abs(x1)"] * terms) + "\n", encoding="utf-8")
+    code = cli.main(["analyze", str(path), "--at", "0", "--json"])
+    captured = capsys.readouterr()
     assert code == 0
-    assert json.loads(out)["verdict"] == "stationary"
+    assert json.loads(captured.out)["verdict"] == "stationary"
+    assert captured.err == ""
 
 
 def test_analyze_wrong_point_dimension_exit_two(p3_file, capsys):

@@ -88,6 +88,8 @@ EDGE_CASES = {
     "scaled_rows": ("dim 1\nobjective x1\nineq -0.02 * x1\nineq -1.6 * x1\n", "0"),
     "infeasible": (SUITE["P2"][0], "1,0"),
     "active_and_inactive": ("dim 2\nobjective abs(x1) + x2\nineq -x2\nineq x1 - 5\neq x1 - x1 * x2\n", "0,0"),
+    "deep_sum": ("dim 1\nobjective " + _sum(["abs(x1)"] * 2000) + "\n", "0"),
+    "deep_parens": ("dim 1\nobjective " + "(" * 101 + "x1" + ")" * 101 + "\n", "0"),
 }
 
 MALFORMED = {
