@@ -103,7 +103,8 @@ _nonnegative_int = _bounded(int, positive=False)
 OPTIONS = {
     "seed": dict(type=_nonnegative_int, default=None,
                  help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
-    "levels": dict(type=int, default=GenDirConfig.levels),
+    "levels": dict(type=int, default=GenDirConfig.levels,
+                   help="finest sampling level; the checks sample it alone"),
     "samples": dict(type=int, default=GenDirConfig.samples_per_level),
     "eps_stat": dict(type=_bounded(float, positive=False), default=DEFAULT_EPS_STAT),
     "active_tol": dict(type=_bounded(float, positive=False), default=DEFAULT_ACTIVE_TOL),

@@ -6,7 +6,13 @@ replaces it with a finite multi-scale max: at level k it draws base points
 within radius BASE_RADIUS*DECAY^k of u and steps in (0, BASE_STEP*DECAY^k],
 records the level maximum of (F(v + t*d) - F(v)) / t along the normalized
 direction d, and reports the finest level scaled by the direction norm.
-Coarse-level maxima are kept for convergence diagnostics.
+
+estimate_gen_dir_deriv(s) sample every level 1..levels and keep the coarse
+maxima in GenDirEstimate.per_level, for convergence diagnostics.  The
+property checks (check_homogeneity, check_subadditivity, check_properties)
+and subdiff.membership_test read only the value, so they sample the finest
+level alone; each level draws from its own substream, so their values are
+the same bits.
 """
 from __future__ import annotations
 
@@ -87,8 +93,44 @@ def estimate_gen_dir_deriv(prob: ProblemDefinition, u, phi, cfg: GenDirConfig = 
 def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig = GenDirConfig()) -> list:
     """estimate_gen_dir_deriv along each direction in phis, one GenDirEstimate each.
 
-    The level draws depend only on (cfg.seed, level), so each level draws its
-    base points and steps and evaluates F on the base points once for all
+    Samples every level 1..cfg.levels, so that per_level holds the coarse
+    levels too; the property checks and membership_test, which read only
+    the value, sample the finest level alone and get the same values.
+    """
+    scaled, norms = _scaled_level_maxima(prob, u, phis, range(1, cfg.levels + 1), cfg)
+    return [GenDirEstimate(values[-1], tuple(values), norm)
+            for values, norm in zip(scaled.tolist(), norms)]
+
+
+def _finest_values(prob, u, phis, cfg) -> list:
+    """The value of estimate_gen_dir_derivs along each direction in phis,
+    from the finest level alone: each level draws from its own substream,
+    so leaving out the coarse levels changes no bit of it."""
+    scaled, _ = _scaled_level_maxima(prob, u, phis, (cfg.levels,), cfg)
+    return scaled[:, 0].tolist()
+
+
+def _direction_rows(phis, n) -> np.ndarray:
+    """phis as one (len(phis), n) array of finite floats, checked at once;
+    only a list that fails the check goes through as_point one direction at
+    a time, so that the error names the first bad direction."""
+    phis = list(phis)
+    try:
+        rows = np.array(phis, dtype=float)
+    except ValueError:  # directions of different shapes
+        rows = None
+    if rows is None or rows.shape[1:] != (n,) or not np.all(np.isfinite(rows)):
+        rows = np.array([as_point(phi, n) for phi in phis])
+    return rows.reshape(len(phis), n)
+
+
+def _scaled_level_maxima(prob, u, phis, levels, cfg):
+    """(len(phis), len(levels)) array of the maximum difference quotient of
+    each listed level along each normalized direction, times the direction
+    norm (0 along a zero direction), and the list of the norms.
+
+    Level k draws its base points and steps from substream (cfg.seed,
+    NS_GENDIR, k) alone, and evaluates F on the base points once for all
     directions.  The stepped points v + t*d are built in blocks of directions
     in one buffer of at most BLOCK_FLOATS floats (one direction's points at
     least), allocated once per call.  The buffer is coordinate-major, shape
@@ -99,40 +141,44 @@ def estimate_gen_dir_derivs(prob: ProblemDefinition, u, phis, cfg: GenDirConfig 
     the single-direction estimate.
     """
     u = as_point(u, prob.n)
-    rows = [as_point(phi, prob.n) for phi in phis]
-    norms = [math.sqrt(row.dot(row)) for row in rows]  # bitwise np.linalg.norm
+    rows = _direction_rows(phis, prob.n)
+    with np.errstate(over="ignore"):  # an infinite norm fails the scaled check below
+        norms = [math.sqrt(row.dot(row)) for row in rows]  # bitwise np.linalg.norm
     moving = [i for i, norm in enumerate(norms) if norm != 0.0]
-    estimates = [GenDirEstimate(0.0, (0.0,) * cfg.levels, 0.0)] * len(rows)
-    if moving:
-        moving_norms = np.array([norms[i] for i in moving])
-        directions = np.array([rows[i] for i in moving]) / moving_norms[:, None]
-        samples = cfg.samples_per_level
-        block_size = min(len(moving), max(1, BLOCK_FLOATS // (samples * prob.n)))
-        buf = np.empty((prob.n, block_size, samples))
-        maxima = np.empty((len(moving), cfg.levels))
-        for level in range(1, cfg.levels + 1):
-            radius = BASE_RADIUS * DECAY**level
-            t_max = BASE_STEP * DECAY**level
-            rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
-            base = sampling.ball_points(rng, u, radius, samples)
-            steps = t_max * (1.0 - rng.random(samples))  # in (0, t_max]
-            base[0] = u
-            steps[0] = t_max
-            f_base = eval_objective_batch(prob, base)
-            for start in range(0, len(moving), block_size):
-                block = directions[start:start + block_size]
-                stepped = buf[:, :len(block)]
-                np.multiply(block.T[:, :, None], steps, out=stepped)
-                np.add(base.T[:, None, :], stepped, out=stepped)
-                values = eval_objective_batch(prob, np.moveaxis(stepped, 0, -1))
-                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                    quotients = (values - f_base) / steps
-                if not np.all(np.isfinite(quotients)):
-                    raise EstimationFailureError("non-finite difference quotient in level sampling")
-                np.max(quotients, axis=1, out=maxima[start:start + len(block), level - 1])
-        for i, values in zip(moving, (maxima * moving_norms[:, None]).tolist()):
-            estimates[i] = GenDirEstimate(values[-1], tuple(values), norms[i])
-    return estimates
+    scaled = np.zeros((len(rows), len(levels)))
+    if not moving:
+        return scaled, norms
+    moving_norms = np.array([norms[i] for i in moving])
+    directions = rows[moving] / moving_norms[:, None]
+    samples = cfg.samples_per_level
+    block_size = min(len(moving), max(1, BLOCK_FLOATS // (samples * prob.n)))
+    buf = np.empty((prob.n, block_size, samples))
+    maxima = np.empty((len(moving), len(levels)))
+    for column, level in enumerate(levels):
+        radius = BASE_RADIUS * DECAY**level
+        t_max = BASE_STEP * DECAY**level
+        rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
+        base = sampling.ball_points(rng, u, radius, samples)
+        steps = t_max * (1.0 - rng.random(samples))  # in (0, t_max]
+        base[0] = u
+        steps[0] = t_max
+        f_base = eval_objective_batch(prob, base)
+        for start in range(0, len(moving), block_size):
+            block = directions[start:start + block_size]
+            stepped = buf[:, :len(block)]
+            np.multiply(block.T[:, :, None], steps, out=stepped)
+            np.add(base.T[:, None, :], stepped, out=stepped)
+            values = eval_objective_batch(prob, np.moveaxis(stepped, 0, -1))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                quotients = (values - f_base) / steps
+            if not np.all(np.isfinite(quotients)):
+                raise EstimationFailureError("non-finite difference quotient in level sampling")
+            np.max(quotients, axis=1, out=maxima[start:start + len(block), column])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        scaled[moving] = maxima * moving_norms[:, None]
+    if not np.all(np.isfinite(scaled)):
+        raise EstimationFailureError("non-finite estimate when scaled by the direction norm")
+    return scaled, norms
 
 
 def _direction_pair(phi1, phi2):
@@ -151,15 +197,15 @@ def _homogeneity_directions(phi, lambdas):
     return [phi] + [phi * lam for lam in lambdas]
 
 
-def _homogeneity_report(lambdas, base, scaled_estimates) -> PropertyReport:
+def _homogeneity_report(lambdas, base, scaled_values) -> PropertyReport:
     """Homogeneity report from the estimates along phi and along each lam*phi."""
     worst = 0.0
     worst_tol = 0.0
     cases = []
     passed = True
-    for lam, scaled in zip(lambdas, scaled_estimates):
-        discrepancy = abs(scaled.value - lam * base.value)
-        tol = 1e-12 * (1.0 + lam) * abs(base.value)
+    for lam, scaled in zip(lambdas, scaled_values):
+        discrepancy = abs(scaled - lam * base)
+        tol = 1e-12 * (1.0 + lam) * abs(base)
         ok = discrepancy <= tol
         passed = passed and ok
         if discrepancy >= worst:
@@ -168,8 +214,8 @@ def _homogeneity_report(lambdas, base, scaled_estimates) -> PropertyReport:
         cases.append(
             {
                 "lambda": float(lam),
-                "estimate": scaled.value,
-                "scaled_base": lam * base.value,
+                "estimate": scaled,
+                "scaled_base": lam * base,
                 "discrepancy": discrepancy,
                 "tolerance": tol,
                 "passed": ok,
@@ -182,16 +228,15 @@ def _subadditivity_report(phi1, phi2, combined, first, second, eps_sub) -> Prope
     """Subadditivity report from the estimates along phi1+phi2, phi1 and phi2."""
     if eps_sub is None:
         eps_sub = 0.05 * (1.0 + float(np.linalg.norm(phi1)) + float(np.linalg.norm(phi2)))
-    slack = combined.value - first.value - second.value
+    slack = combined - first - second
     # the slack differences three rounded estimates, so it carries their rounding error
-    rounding = 4 * float(np.finfo(float).eps) * (abs(combined.value) + abs(first.value)
-                                                 + abs(second.value))
+    rounding = 4 * float(np.finfo(float).eps) * (abs(combined) + abs(first) + abs(second))
     tolerance = max(eps_sub, rounding)
     passed = slack <= tolerance
     case = {
-        "combined": combined.value,
-        "first": first.value,
-        "second": second.value,
+        "combined": combined,
+        "first": first,
+        "second": second,
         "slack": slack,
         "tolerance": tolerance,
         "passed": passed,
@@ -204,8 +249,9 @@ def check_homogeneity(prob, u, phi, lambdas, cfg: GenDirConfig = GenDirConfig())
 
     Structural by direction normalization, so the discrepancy is pure
     floating-point noise, bounded by 1e-12 * (1 + lam) * |estimate|.
+    Samples the finest level alone, the only one the report reads.
     """
-    base, *scaled = estimate_gen_dir_derivs(prob, u, _homogeneity_directions(phi, lambdas), cfg)
+    base, *scaled = _finest_values(prob, u, _homogeneity_directions(phi, lambdas), cfg)
     return _homogeneity_report(lambdas, base, scaled)
 
 
@@ -217,10 +263,11 @@ def check_subadditivity(prob, u, phi1, phi2, cfg: GenDirConfig = GenDirConfig(),
     drops below the rounding floor 4 * machine eps * (|est(phi1+phi2)| +
     |est(phi1)| + |est(phi2)|), so that a steep objective does not fail on
     rounding alone; the report's tolerance is the larger of the two.
+    Samples the finest level alone, the only one the report reads.
     """
     phi1, phi2 = _direction_pair(phi1, phi2)
-    estimates = estimate_gen_dir_derivs(prob, u, [phi1 + phi2, phi1, phi2], cfg)
-    return _subadditivity_report(phi1, phi2, *estimates, eps_sub)
+    values = _finest_values(prob, u, [phi1 + phi2, phi1, phi2], cfg)
+    return _subadditivity_report(phi1, phi2, *values, eps_sub)
 
 
 def check_properties(prob, u, cfg: GenDirConfig, eps_sub) -> list:
@@ -231,20 +278,23 @@ def check_properties(prob, u, cfg: GenDirConfig, eps_sub) -> list:
     None is its default tolerance.
 
     Every report equals the one its own check gives, since each estimate
-    depends only on the level draws and its own direction.
+    depends only on the level draws and its own direction.  Like those
+    checks, it samples only the finest level, cfg.levels: a coarser level
+    is neither drawn nor evaluated, so a non-finite quotient there cannot
+    fail the call.
     """
     rng = sampling.substream(cfg.seed, sampling.NS_PROPERTIES, 0)
     pairs = [(rng.standard_normal(prob.n), rng.standard_normal(prob.n))
              for _ in range(SUBADDITIVITY_PAIRS)]
     phis = [phi for axis in np.eye(prob.n) for phi in _homogeneity_directions(axis, HOMOGENEITY_LAMBDAS)]
     phis += [phi for phi1, phi2 in pairs for phi in (phi1 + phi2, phi1, phi2)]
-    estimates = iter(estimate_gen_dir_derivs(prob, u, phis, cfg))
+    values = iter(_finest_values(prob, u, phis, cfg))
     reports = []
     for _ in range(prob.n):
-        base = next(estimates)
+        base = next(values)
         reports.append(_homogeneity_report(HOMOGENEITY_LAMBDAS, base,
-                                           [next(estimates) for _ in HOMOGENEITY_LAMBDAS]))
+                                           [next(values) for _ in HOMOGENEITY_LAMBDAS]))
     for phi1, phi2 in pairs:
-        reports.append(_subadditivity_report(phi1, phi2, next(estimates), next(estimates),
-                                             next(estimates), eps_sub))
+        reports.append(_subadditivity_report(phi1, phi2, next(values), next(values),
+                                             next(values), eps_sub))
     return reports

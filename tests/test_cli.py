@@ -523,6 +523,29 @@ def test_overflow_leaves_stderr_empty(command, at, code, message, tmp_path, caps
         assert captured.err == ""
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_check_properties_scaled_overflow_exit_two(as_json, tmp_path, capsys):
+    # every finest-level maximum is finite, but one times the norm of 10 * e_1 is not
+    path = tmp_path / "overflow.prob"
+    path.write_text("dim 1\nobjective pow(x1, 400)\n", encoding="utf-8")
+    assert cli.main(["check-properties", str(path), "--at", "5.8", "--seed", "42"]
+                    + ["--json"] * as_json) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite estimate when scaled by the direction norm\n"
+
+
+def test_check_properties_ignores_a_coarse_level_it_does_not_report(tmp_path, capsys):
+    # at 5.78 only the coarser levels' stepped points overflow pow; the checks
+    # read the finest level alone and no longer sample the others
+    path = tmp_path / "overflow.prob"
+    path.write_text("dim 1\nobjective pow(x1, 400)\n", encoding="utf-8")
+    assert cli.main(["check-properties", str(path), "--at", "5.78", "--seed", "42", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _strict_json(captured.out)["ok"] is True
+
+
 # sha256 of `check-properties --json --seed 42`, without `timings`, at each
 # suite minimizer, as written when every check made its own estimator call
 PROPERTIES_SHA256 = {

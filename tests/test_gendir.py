@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from clarke_kkt import gendir, sampling
+from clarke_kkt.errors import EstimationFailureError
 from clarke_kkt.gendir import (
     BASE_STEP,
     BLOCK_FLOATS,
@@ -271,3 +272,80 @@ def test_checks_reject_bad_input_before_evaluating():
         check_homogeneity(DIV0, [0.0], [1.0], (1.0, 0.0))
     with pytest.raises(ValueError):
         check_subadditivity(DIV0, [0.0], [1.0], [1.0, 0.0])
+
+
+# --- levels drawn, direction checks, overflow ---------------------------------
+
+POW400 = parse_problem("dim 1\nobjective pow(x1, 400)")  # overflows just above x1 = 5.87
+
+
+def _levels_drawn(monkeypatch):
+    """The NS_GENDIR levels that sampling.substream is asked for, in order."""
+    drawn = []
+    substream = sampling.substream
+
+    def recording(seed, *path):
+        if path[0] == sampling.NS_GENDIR:
+            drawn.append(path[1])
+        return substream(seed, *path)
+
+    monkeypatch.setattr(sampling, "substream", recording)
+    return drawn
+
+
+def test_value_only_callers_draw_the_finest_level_alone(monkeypatch):
+    cfg = GenDirConfig(levels=4, seed=3)
+    drawn = _levels_drawn(monkeypatch)
+    estimate_gen_dir_derivs(MAX2, [0.0, 0.0], np.eye(2), cfg)
+    assert drawn == [1, 2, 3, 4]
+    drawn.clear()
+    check_properties(MAX2, [0.0, 0.0], cfg, None)
+    check_homogeneity(MAX2, [0.0, 0.0], [1.0, 0.0], HOMOGENEITY_LAMBDAS, cfg)
+    check_subadditivity(MAX2, [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], cfg)
+    membership_test(MAX2, [0.0, 0.0], [0.5, 0.5], cfg)
+    assert drawn == [4, 4, 4, 4]
+
+
+def test_finest_values_equal_the_estimates_of_every_level():
+    cfg = GenDirConfig(seed=5)
+    phis = list(np.random.default_rng(2).standard_normal((9, 20)))
+    phis[3] = np.zeros(20)
+    u = np.full(20, 0.01)
+    values = gendir._finest_values(A20, u, phis, cfg)
+    assert values == [est.value for est in estimate_gen_dir_derivs(A20, u, phis, cfg)]
+
+
+@pytest.mark.parametrize("phis, message", [
+    ([[1.0, 0.0], [1.0]], r"point has shape \(1,\), expected \(2,\)"),
+    ([[1.0], [2.0]], r"point has shape \(1,\), expected \(2,\)"),
+    ([1.0, 2.0], r"point has shape \(\), expected \(2,\)"),
+    ([[1.0, 0.0], [np.inf, 0.0]], "point has non-finite coordinates"),
+    ([[1.0, 0.0], [0.0, np.nan], [1.0]], "point has non-finite coordinates"),
+])
+def test_directions_are_checked_with_the_point_messages(phis, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_gen_dir_derivs(MAX2, [0.0, 0.0], phis)
+
+
+def test_no_directions_give_no_estimates():
+    assert estimate_gen_dir_derivs(MAX2, [0.0, 0.0], []) == []
+    assert estimate_gen_dir_derivs(MAX2, [0.0, 0.0], np.empty((0, 2))) == []
+
+
+def test_estimate_that_overflows_when_scaled_raises():
+    # every level maximum is finite, but the coarsest one times |phi| = 10 is not
+    with pytest.raises(EstimationFailureError, match="^non-finite estimate when scaled by the direction norm$"):
+        estimate_gen_dir_deriv(POW400, [5.74], [10.0], GenDirConfig(seed=42))
+    with pytest.raises(EstimationFailureError, match="^non-finite estimate when scaled by the direction norm$"):
+        estimate_gen_dir_deriv(SQUARE, [0.0], [1e200], GenDirConfig(seed=42))  # |phi|**2 overflows
+
+
+def test_checks_skip_a_coarse_level_they_do_not_report():
+    # at 5.78 only the coarse levels reach the overflow of pow: the estimate
+    # of every level raises, the checks that read the finest level pass
+    cfg = GenDirConfig(seed=42)
+    with pytest.raises(EstimationFailureError, match="^non-finite difference quotient in level sampling$"):
+        estimate_gen_dir_deriv(POW400, [5.78], [1.0], cfg)
+    reports = check_properties(POW400, [5.78], cfg, None)
+    assert all(report.passed for report in reports)
+    assert all(np.isfinite(report.worst) for report in reports)

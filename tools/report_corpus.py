@@ -92,6 +92,18 @@ EDGE_CASES = {
     "deep_parens": ("dim 1\nobjective " + "(" * 101 + "x1" + ")" * 101 + "\n", "0"),
 }
 
+# check-properties beyond P1-P5, as (problem, point).  pow(x1, 400) near its
+# overflow: at 5.74 only a coarser level's maximum overflows when scaled by
+# |10 * e_1|, at 5.78 only a coarser level's stepped points overflow, and at
+# 5.8 the finest level's maximum overflows when scaled.  A20 at 0 fills
+# several blocks of the estimator's buffer.
+PROPERTY_CASES = [
+    ("overflow_objective", "5.74"),
+    ("overflow_objective", "5.78"),
+    ("overflow_objective", "5.8"),
+    ("A20", ",".join(["0"] * 20)),
+]
+
 MALFORMED = {
     "bad_char": "dim 1\nobjective x1 $ 2\n",
     "missing_dim": "objective x1\n",
@@ -155,6 +167,9 @@ def commands():
     for name, (_, point) in EDGE_CASES.items():
         cmds.append(["analyze", "{%s}" % name, "--at=" + point, "--json"])
         cmds.append(["analyze", "{%s}" % name, "--at=" + point])
+    for name, point in PROPERTY_CASES:
+        cmds.append(["check-properties", "{%s}" % name, "--at=" + point, "--json"])
+        cmds.append(["check-properties", "{%s}" % name, "--at=" + point])
     for name in MALFORMED:
         cmds.append(["analyze", "{%s}" % name, "--at", "0", "--json"])
     cmds.append(["analyze", "{TMP}/missing.prob", "--at", "0"])
