@@ -10,7 +10,9 @@ inclusion is certified by a structured least-squares residual over the
 sampled subdifferential; z2 is structurally zero off the active set.
 g <= 0 and c g <= 0 (c > 0) are one constraint, so activity and feasibility
 read the first-order distance g / |grad g|, and the Slater check and the
-multiplier solve read unit rows grad g / |grad g|.
+multiplier solve read unit rows grad g / |grad g|.  A verdict walks each
+constraint tree once, and every stage error reaches its report through one
+handler.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError, EvaluationDomainError
+from .errors import CQIndeterminateError, ClarkeKKTError, EstimationFailureError
 from .gendir import GenDirConfig
 from .expressions import evaluate_with_kinks
 from .problem import ProblemDefinition, as_point, eval_objective
@@ -39,7 +41,6 @@ class ConstraintQualificationReport:
     slater_ok: bool
     active_set: tuple
     kink_free: bool  # no equality or active inequality has a kink at the point
-    jacobians: tuple  # (J1, J2) at the point, reused by multiplier recovery; not serialized
 
     def to_dict(self):
         return {
@@ -138,27 +139,31 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
     one-piece Jacobian row that proves nothing: kink_free is False.  A non-finite
     Jacobian entry (an overflowing derivative) raises EstimationFailureError.
     """
-    u0 = as_point(u0, prob.n)
-    values, J, kinked = constraint_walk(prob, u0)
+    walk = constraint_walk(prob, as_point(u0, prob.n))
+    return _constraint_qualification(prob, walk, unit_rows(walk[1]), active_tol)
+
+
+def _constraint_qualification(prob, walk, rows, active_tol):
+    """check_constraint_qualification on the caller's constraint_walk and its unit_rows."""
+    (values, J, kinked), (unit, norms) = walk, rows
     if not np.all(np.isfinite(J)):
         raise EstimationFailureError("non-finite constraint Jacobian at the point")
     J1, J2 = J[:prob.m], J[prob.m:]
     svals = np.linalg.svd(J1, compute_uv=False)  # empty without equalities
     rank = int(np.sum(svals > 1e-8 * np.max(svals, initial=0.0) * max(prob.m, prob.n)))
     j1_onto = rank == prob.m
-    active = tuple(np.flatnonzero(values[prob.m:] >= -active_tol * unit_rows(J2)[1]).tolist())
+    active = tuple(np.flatnonzero(values[prob.m:] >= -active_tol * norms[prob.m:]).tolist())
     kink_free = not (np.any(kinked[:prob.m]) or np.any(kinked[prob.m:][list(active)]))
     if not active:
-        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, kink_free, (J1, J2))
+        return ConstraintQualificationReport(rank, j1_onto, np.zeros(prob.n), True, active, kink_free)
     phi, converged = slater_direction(J1, J2[list(active)])
     if not converged:
         raise CQIndeterminateError("Slater solve did not converge")
     # |J1_j phi| <= 1e-8 |J1_j| |phi|, on unit vectors so that nothing overflows
-    eq_ok = bool(np.all(np.abs(unit_rows(J1)[0] @ unit_rows(phi[None])[0][0]) <= 1e-8))
-    ineq_ok = bool(np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
-    slater_ok = eq_ok and ineq_ok
+    slater_ok = bool(np.all(np.abs(unit[:prob.m] @ unit_rows(phi[None])[0][0]) <= 1e-8)
+                     and np.all(J2[list(active)] @ phi <= -1.0 + 1e-8))
     return ConstraintQualificationReport(rank, j1_onto, phi if slater_ok else None, slater_ok,
-                                         active, kink_free, (J1, J2))
+                                         active, kink_free)
 
 
 def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
@@ -167,6 +172,8 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     """Full pipeline: feasibility, constraint qualification, subdifferential
     sampling, multiplier recovery, verdict.
 
+    Each constraint tree is walked once: one constraint_walk at u0 and one
+    unit_rows of its Jacobian feed feasibility, the CQ and the multiplier solve.
     Infeasible iff some |h_j| > FEAS_TOL |grad h_j| or g_i > FEAS_TOL |grad g_i|
     (a non-finite row counts as infinitely steep: the CQ check rejects it).
     Equality-only problems skip the Slater check (it is vacuous for them).
@@ -174,47 +181,39 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     residual exceeds eps_stat (see solve_structured_ls).
     An objective or constraint that is undefined (a domain error) or
     non-finite at u0 is a feasibility-stage error.
-    A stage failure is recorded in the report, never silently dropped.
+    Every stage error goes through one handler into a report naming the
+    stage; a failure is never silently dropped.
     """
     u0 = as_point(u0, prob.n)
     feasibility = (np.nan, np.nan)  # unknown until the constraints evaluate
+    cq, stage = None, "feasibility"
     try:
-        values, J, _ = constraint_walk(prob, u0)
+        values, J, _ = walk = constraint_walk(prob, u0)
         eq_values, ineq_values = values[:prob.m], values[prob.m:]
-        eq_norm = float(np.max(np.abs(eq_values), initial=0.0))
-        max_viol = float(np.max(ineq_values, initial=-np.inf))
-        feasibility = (eq_norm, max_viol)
+        feasibility = (float(np.max(np.abs(eq_values), initial=0.0)),
+                       float(np.max(ineq_values, initial=-np.inf)))
         objective_value = eval_objective(prob, u0)
-    except EvaluationDomainError as exc:
-        return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
-                                  message=str(exc))
-    for kind, values in (("equality constraint", eq_values), ("inequality constraint", ineq_values),
-                         ("objective", objective_value)):
-        if not np.all(np.isfinite(values)):
-            return StationarityReport(feasibility, None, None, "error", failed_stage="feasibility",
-                                      message=f"non-finite {kind} value at the point")
-    tolerance = FEAS_TOL * unit_rows(J)[1]
-    if np.any(np.abs(eq_values) > tolerance[:prob.m]) or np.any(ineq_values > tolerance[prob.m:]):
-        return StationarityReport(feasibility, None, None, "infeasible")
-    try:
-        cq = check_constraint_qualification(prob, u0, active_tol=active_tol)
-    except ClarkeKKTError as exc:
-        return StationarityReport(feasibility, None, None, "error",
-                                  failed_stage="constraint_qualification", message=str(exc))
-    if not (cq.j1_onto and cq.slater_ok and cq.kink_free):
-        return StationarityReport(feasibility, cq, None, "cq_failed")
-    J1, J2 = cq.jacobians
-    active = list(cq.active_set)
-    try:
+        for kind, checked in (("equality constraint", eq_values), ("inequality constraint", ineq_values),
+                              ("objective", objective_value)):
+            if not np.all(np.isfinite(checked)):
+                raise EstimationFailureError(f"non-finite {kind} value at the point")
+        unit, norms = rows = unit_rows(J)
+        tolerance = FEAS_TOL * norms
+        if np.any(np.abs(eq_values) > tolerance[:prob.m]) or np.any(ineq_values > tolerance[prob.m:]):
+            return StationarityReport(feasibility, None, None, "infeasible")
+        stage = "constraint_qualification"
+        cq = _constraint_qualification(prob, walk, rows, active_tol)
+        if not (cq.j1_onto and cq.slater_ok and cq.kink_free):
+            return StationarityReport(feasibility, cq, None, "cq_failed")
+        stage = "multiplier_recovery"
+        active = list(cq.active_set)
         sample = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
         G = sample.points.T  # n x k, the sampled gradients
-        unit, norms = unit_rows(J2[active])
-        result = solve_structured_ls(G, J1, unit, stop_above=eps_stat)
+        result = solve_structured_ls(G, J[:prob.m], unit[prob.m:][active], stop_above=eps_stat)
     except ClarkeKKTError as exc:
-        return StationarityReport(feasibility, cq, None, "error",
-                                  failed_stage="multiplier_recovery", message=str(exc))
+        return StationarityReport(feasibility, cq, None, "error", failed_stage=stage, message=str(exc))
     z2 = np.zeros(prob.p)
-    z2[active] = result.z2_active / norms
+    z2[active] = result.z2_active / norms[prob.m:][active]
     slackness = float(ineq_values @ z2)
     certificate = MultiplierCertificate(G @ result.lam, result.lam, result.z1, z2, result.residual,
                                         slackness, result.converged, result.lower_bound)

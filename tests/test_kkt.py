@@ -71,7 +71,7 @@ def test_slater_direction_of_small_rows():
     report = verify_stationarity(prob, [0.0, 0.0])
     assert report.verdict == "stationary"
     assert report.cq.slater_ok
-    assert np.all(report.cq.jacobians[1] @ report.cq.slater_direction <= -1.0)
+    assert np.all(jacobians(prob, [0.0, 0.0])[1] @ report.cq.slater_direction <= -1.0)
 
 
 # --- scale: g <= 0 and c g <= 0 (c > 0) are one constraint -------------------
@@ -90,7 +90,7 @@ def test_slater_box_corner_is_stationary():
                          "ineq 0.0006 * x1 + 0.0006 * x2\nineq 0.0007 * x1 + 0.0003 * x2\n")
     report = verify_stationarity(prob, [0.0, 0.0])
     assert report.verdict == "stationary"
-    assert np.all(report.cq.jacobians[1] @ report.cq.slater_direction <= -1.0 + 1e-12)
+    assert np.all(jacobians(prob, [0.0, 0.0])[1] @ report.cq.slater_direction <= -1.0 + 1e-12)
 
 
 SCALE_CASES = {  # problem text, minimizer, probe
@@ -159,7 +159,6 @@ def test_cq_walks_each_constraint_tree_once(monkeypatch):
     prob = parse_problem("dim 3\nobjective abs(x1)\neq x1 + x2 + x3\neq x1 - x2\n"
                          "ineq -x1\nineq max(x2, -x2) - 1\nineq x3 - 5\n")
     point = [0.0, 0.0, 0.0]
-    J1, J2 = jacobians(prob, point)
     walked = []
     walk = kkt.evaluate_with_kinks
 
@@ -175,7 +174,12 @@ def test_cq_walks_each_constraint_tree_once(monkeypatch):
     cq = check_constraint_qualification(prob, point)
     assert walked == list(prob.eq + prob.ineq)
     assert cq.active_set == (0,) and cq.kink_free and cq.j1_rank == 2
-    assert cq.jacobians[0].tobytes() == J1.tobytes() and cq.jacobians[1].tobytes() == J2.tobytes()
+    # the whole verdict, feasibility and multiplier solve included, walks them once too
+    walked.clear()
+    report = verify_stationarity(prob, point)
+    assert walked == list(prob.eq + prob.ineq) and len(walked) == prob.m + prob.p == 5
+    assert report.cq.to_dict() == cq.to_dict()
+    assert report.certificate is not None
 
 
 def test_cq_inactive_inequality_is_vacuous():
@@ -300,6 +304,18 @@ def test_diverging_multiplier_solve_is_a_recovery_stage_error(monkeypatch):
     assert report.verdict == "error"
     assert report.failed_stage == "multiplier_recovery"
     assert "objective increased" in report.message
+    # a late failure keeps the stages that passed
+    assert report.cq is not None and report.certificate is None
+
+
+def test_undecided_slater_solve_is_cq_stage_error(monkeypatch):
+    # a capped Slater solve that neither finds a direction nor rules one out
+    monkeypatch.setattr(kkt, "slater_direction", lambda J1, J2_active: (np.zeros(J1.shape[1]), False))
+    report = verify_stationarity(parse_problem(P3_TEXT), [0.0, 0.0])
+    assert report.verdict == "error"
+    assert report.failed_stage == "constraint_qualification"
+    assert report.message == "Slater solve did not converge"
+    assert report.cq is None and report.certificate is None
 
 
 def test_non_finite_jacobian_is_cq_stage_error():

@@ -8,7 +8,10 @@ is not deterministic, so they are removed: the `timings` key of JSON output
 and the time column of the human `suite` table.  The commands import the
 package from the `src` next to this script, so running the script of two
 checkouts and comparing the outputs with `cmp` shows whether a change moves
-any report.  Needs only the standard library and numpy.
+any report.  Every command prints each Python warning it raises, whatever
+ran before it; the script still writes the output, but exits 1 and names
+the commands if any stderr holds one.  Needs only the standard library and
+numpy.
 """
 from __future__ import annotations
 
@@ -19,11 +22,14 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from clarke_kkt import cli  # noqa: E402
+from clarke_kkt import cli, suite  # noqa: E402
+
+WARNING = re.compile(r"(?m)^.*:\d+: \w*Warning: ")
 
 
 def _sum(terms):
@@ -58,12 +64,14 @@ def family_probe(family, n):
     return ",".join(repr(v) for v in point)
 
 
-SUITE = {
-    "P1": ("name P1\ndim 1\nobjective abs(x1)\n", ["0", "0.5", "1e-3", "-1e-3"]),
-    "P2": ("name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n", ["0,0", "1,-1"]),
-    "P3": ("name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n", ["0,0", "0,1"]),
-    "P4": ("name P4\ndim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2\n", ["0.5,-0.5", "1,-1"]),
-    "P5": ("name P5\ndim 1\nobjective -abs(x1)\n", ["0"]),
+# P1-P5 as the suite defines them, and the points each one is analyzed at
+SUITE_TEXT = {entry.name: entry.problem_text for entry in suite.registry()}
+SUITE_POINTS = {
+    "P1": ["0", "0.5", "1e-3", "-1e-3"],
+    "P2": ["0,0", "1,-1"],
+    "P3": ["0,0", "0,1"],
+    "P4": ["0.5,-0.5", "1,-1"],
+    "P5": ["0"],
 }
 
 # name: (problem file, point)
@@ -86,7 +94,7 @@ EDGE_CASES = {
     "slater_box_corner": ("dim 2\nobjective -0.0006 * x1 - 0.0006 * x2\n"
                           "ineq 0.0006 * x1 + 0.0006 * x2\nineq 0.0007 * x1 + 0.0003 * x2\n", "0,0"),
     "scaled_rows": ("dim 1\nobjective x1\nineq -0.02 * x1\nineq -1.6 * x1\n", "0"),
-    "infeasible": (SUITE["P2"][0], "1,0"),
+    "infeasible": (SUITE_TEXT["P2"], "1,0"),
     "active_and_inactive": ("dim 2\nobjective abs(x1) + x2\nineq -x2\nineq x1 - 5\neq x1 - x1 * x2\n", "0,0"),
     "deep_sum": ("dim 1\nobjective " + _sum(["abs(x1)"] * 2000) + "\n", "0"),
     "deep_parens": ("dim 1\nobjective " + "(" * 101 + "x1" + ")" * 101 + "\n", "0"),
@@ -149,7 +157,7 @@ def commands():
         cmds.append(["suite", "--json", "--seed", seed, "--sd-count", "1"])
     cmds.append(["suite"])
     cmds.append(["suite", "--export", "{TMP}/export"])
-    for name, (_, points) in SUITE.items():
+    for name, points in SUITE_POINTS.items():
         for point in points:
             cmds.append(["analyze", "{%s}" % name, "--at=" + point, "--json"])
             cmds.append(["analyze", "{%s}" % name, "--at=" + point])
@@ -184,7 +192,7 @@ def commands():
 
 def _problem_files(tmp):
     files = {"TMP": str(tmp)}
-    texts = {name: text for name, (text, _) in SUITE.items()}
+    texts = dict(SUITE_TEXT)
     texts.update({f"{family}{n}": family_text(family, n) for family in "AQBME" for n in (2, 5, 20)})
     texts.update({name: text for name, (text, _) in EDGE_CASES.items()})
     texts.update(MALFORMED)
@@ -208,7 +216,8 @@ def run(argv, env):
     saved = {key: os.environ.get(key) for key in env}
     os.environ.update(env)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("always")  # the default filter prints a warning once per location
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse rejects the command line
@@ -242,7 +251,10 @@ def main(argv=None):
             }
     Path(argv[0]).write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"{len(corpus)} commands written to {argv[0]}")
-    return 0
+    warned = [key for key, report in corpus.items() if WARNING.search(report["stderr"])]
+    for key in warned:
+        print(f"Python warning on stderr: {key}", file=sys.stderr)
+    return 1 if warned else 0
 
 
 if __name__ == "__main__":
