@@ -185,7 +185,7 @@ def cmd_analyze(args, out) -> int:
             "point": point.tolist(),
             "config": cfg,
             **report.to_dict(),
-            "timings": {"analyze_s": elapsed},
+            "timings": {"analyze_s": elapsed, "stages": report.stage_s},
         }
         _emit_json(payload, out)
     else:

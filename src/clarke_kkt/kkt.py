@@ -11,13 +11,13 @@ sampled subdifferential; z2 is structurally zero off the active set.
 g <= 0 and c g <= 0 (c > 0) are one constraint, so activity and feasibility
 read the first-order distance g / |grad g|, and the Slater check and the
 multiplier solve read unit rows grad g / |grad g|.  A verdict walks each
-constraint tree once, and every stage error reaches its report through one
-handler.
+constraint tree once, times each stage it runs, and every stage error
+reaches its report through one handler.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -37,7 +37,7 @@ FEAS_TOL = 1e-6  # first-order distance |h| / |grad h| or g / |grad g|
 class ConstraintQualificationReport:
     j1_rank: int
     j1_onto: bool
-    slater_direction: Optional[np.ndarray]
+    slater_direction: np.ndarray | None
     slater_ok: bool
     active_set: tuple
     kink_free: bool  # no equality or active inequality has a kink at the point
@@ -80,11 +80,12 @@ class MultiplierCertificate:
 @dataclass(frozen=True)
 class StationarityReport:
     feasibility: tuple  # (eq_norm, max_ineq_violation)
-    cq: Optional[ConstraintQualificationReport]
-    certificate: Optional[MultiplierCertificate]
+    cq: ConstraintQualificationReport | None
+    certificate: MultiplierCertificate | None
     verdict: str  # stationary | not_stationary | cq_failed | infeasible | error
-    failed_stage: Optional[str] = None
-    message: Optional[str] = None
+    failed_stage: str | None = None
+    message: str | None = None
+    stage_s: dict = field(default_factory=dict, compare=False)  # seconds per stage run; not in to_dict
 
     def to_dict(self):
         # max_ineq_violation is -inf without inequalities, a constraint value
@@ -92,10 +93,7 @@ class StationarityReport:
         # undefined there; JSON has no infinities or nans
         eq_norm, max_viol = (value if np.isfinite(value) else None for value in self.feasibility)
         return {
-            "feasibility": {
-                "eq_norm": eq_norm,
-                "max_ineq_violation": max_viol,
-            },
+            "feasibility": {"eq_norm": eq_norm, "max_ineq_violation": max_viol},
             "cq": None if self.cq is None else self.cq.to_dict(),
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "verdict": self.verdict,
@@ -117,10 +115,8 @@ def constraint_walk(prob: ProblemDefinition, u):
 
 
 def jacobians(prob: ProblemDefinition, u):
-    """(J1, J2): exact Jacobians of the equality and inequality maps at u,
-    each row the gradient of its constraint's expression tree (tie rules as
-    in evaluate_with_gradient); the rows of constraint_walk, split.  The
-    pipeline reads constraint_walk directly and does not call this."""
+    """(J1, J2): the exact Jacobian rows of constraint_walk at u (tie rules as in
+    evaluate_with_gradient), split.  The pipeline reads constraint_walk itself."""
     J = constraint_walk(prob, u)[1]
     return J[:prob.m], J[prob.m:]
 
@@ -129,16 +125,14 @@ def check_constraint_qualification(prob: ProblemDefinition, u0,
                                    active_tol=DEFAULT_ACTIVE_TOL) -> ConstraintQualificationReport:
     """Rank of J1, active inequality set, and a strictly feasible (Slater) direction.
 
-    The Jacobians, the inequality values that decide the active set
-    (g_i >= -active_tol |grad g_i|) and the kink marks all come from one
-    constraint_walk at u0.  The Slater direction phi has J1 phi = 0 and
-    (J2 phi)_i <= -1 on the active set (see slater_direction); a capped solve
-    that decides neither way raises CQIndeterminateError.
-    Empty active set makes the check vacuous.  An equality or active
-    inequality with a kink at the point (see evaluate_with_kinks) has a
-    one-piece Jacobian row that proves nothing: kink_free is False.  A non-finite
-    Jacobian entry (an overflowing derivative) raises EstimationFailureError.
-    """
+    One constraint_walk at u0 gives the Jacobians, the values that decide the
+    active set (g_i >= -active_tol |grad g_i|) and the kink marks.  The Slater
+    direction phi has J1 phi = 0 and (J2 phi)_i <= -1 on the active set (see
+    slater_direction); a capped solve that decides neither way raises
+    CQIndeterminateError.  An empty active set makes the check vacuous.  An
+    equality or active inequality with a kink at the point (evaluate_with_kinks)
+    has a one-piece row that proves nothing: kink_free is False.  A non-finite
+    Jacobian entry (an overflowing derivative) raises EstimationFailureError."""
     walk = constraint_walk(prob, as_point(u0, prob.n))
     return _constraint_qualification(prob, walk, unit_rows(walk[1]), active_tol)
 
@@ -176,17 +170,16 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
     unit_rows of its Jacobian feed feasibility, the CQ and the multiplier solve.
     Infeasible iff some |h_j| > FEAS_TOL |grad h_j| or g_i > FEAS_TOL |grad g_i|
     (a non-finite row counts as infinitely steep: the CQ check rejects it).
-    Equality-only problems skip the Slater check (it is vacuous for them).
-    The multiplier solve stops once its residual_lower_bound proves the
-    residual exceeds eps_stat (see solve_structured_ls).
-    An objective or constraint that is undefined (a domain error) or
-    non-finite at u0 is a feasibility-stage error.
-    Every stage error goes through one handler into a report naming the
-    stage; a failure is never silently dropped.
+    Equality-only problems skip the (vacuous) Slater check.  The multiplier
+    solve stops once its residual_lower_bound proves the residual exceeds
+    eps_stat.  An objective or constraint that is undefined (a domain error)
+    or non-finite at u0 is a feasibility-stage error.  Every stage error goes
+    through one handler into a report naming the stage.  stage_s holds the
+    seconds of each stage that ran, timed by perf_counter from its start.
     """
     u0 = as_point(u0, prob.n)
     feasibility = (np.nan, np.nan)  # unknown until the constraints evaluate
-    cq, stage = None, "feasibility"
+    cq, starts = None, {"feasibility": perf_counter()}  # the last stage started is running
     try:
         values, J, _ = walk = constraint_walk(prob, u0)
         eq_values, ineq_values = values[:prob.m], values[prob.m:]
@@ -200,22 +193,29 @@ def verify_stationarity(prob: ProblemDefinition, u0, eps_stat=DEFAULT_EPS_STAT,
         unit, norms = rows = unit_rows(J)
         tolerance = FEAS_TOL * norms
         if np.any(np.abs(eq_values) > tolerance[:prob.m]) or np.any(ineq_values > tolerance[prob.m:]):
-            return StationarityReport(feasibility, None, None, "infeasible")
-        stage = "constraint_qualification"
+            return StationarityReport(feasibility, None, None, "infeasible", stage_s=_stage_seconds(starts))
+        starts["constraint_qualification"] = perf_counter()
         cq = _constraint_qualification(prob, walk, rows, active_tol)
         if not (cq.j1_onto and cq.slater_ok and cq.kink_free):
-            return StationarityReport(feasibility, cq, None, "cq_failed")
-        stage = "multiplier_recovery"
+            return StationarityReport(feasibility, cq, None, "cq_failed", stage_s=_stage_seconds(starts))
+        starts["multiplier_recovery"] = perf_counter()
         active = list(cq.active_set)
         sample = sample_subdifferential(prob, u0, radius=sd_radius, k=sd_count, seed=seed)
         G = sample.points.T  # n x k, the sampled gradients
         result = solve_structured_ls(G, J[:prob.m], unit[prob.m:][active], stop_above=eps_stat)
-    except ClarkeKKTError as exc:
-        return StationarityReport(feasibility, cq, None, "error", failed_stage=stage, message=str(exc))
+    except ClarkeKKTError as exc:  # in the stage started last
+        return StationarityReport(feasibility, cq, None, "error", [*starts][-1], str(exc),
+                                  _stage_seconds(starts))
     z2 = np.zeros(prob.p)
     z2[active] = result.z2_active / norms[prob.m:][active]
     slackness = float(ineq_values @ z2)
     certificate = MultiplierCertificate(G @ result.lam, result.lam, result.z1, z2, result.residual,
                                         slackness, result.converged, result.lower_bound)
     verdict = "stationary" if result.residual <= eps_stat else "not_stationary"
-    return StationarityReport(feasibility, cq, certificate, verdict)
+    return StationarityReport(feasibility, cq, certificate, verdict, stage_s=_stage_seconds(starts))
+
+
+def _stage_seconds(starts):
+    """{stage: seconds} from each stage's perf_counter start; the last one ends now."""
+    marks = [*starts.values(), perf_counter()]
+    return {stage: end - start for stage, start, end in zip(starts, marks, marks[1:])}

@@ -15,7 +15,11 @@ intermediate through ``out=``. Each floating-point operation keeps the order
 and the operands of the plain step ``x <- project(x - step * (H @ x))``, so
 the iterates, and with them every verdict and certificate, are bitwise equal
 to that step's; ``tests/test_solver.py`` pins this against a reference copy
-of the plain loop.
+of the plain loop.  The simplex projection takes a full-support shortcut:
+when the sort criterion holds at the last rank (rho = k, as in every
+iteration of a capped multiplier solve) it subtracts theta and skips the
+criterion at the other ranks and the clip at 0, since every weight then
+exceeds theta; any other case, a nan or inf included, takes the general path.
 
 The loop also keeps a dual lower bound on its optimal residual and stops
 once that bound exceeds ``stop_above`` and the current residual is within
@@ -121,34 +125,52 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     # operation per line on these buffers, so the iterates equal the plain
     # loop's bit for bit (oracle test in tests/test_solver.py). np.dot runs the
     # same BLAS product as `@`; desc > crit has the truth value of
-    # desc - crit > 0 (gradual underflow).
+    # desc - crit > 0 (gradual underflow). step, theta and the clips' 0.0 are
+    # 0-d arrays, which numpy takes faster than Python floats, with the same
+    # doubles. Each x buffer's weight and cone views are made once and swap
+    # with it.
     x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    views, views_new = (x[:k], x[k + m:]), (x_new[:k], x_new[k + m:])
     srt, css, crit, r = np.empty(k), np.empty(k), np.empty(k), np.empty(n)
     cond = np.empty(k, dtype=bool)
     ranks = np.arange(1.0, k + 1)
     desc, cond_rev = srt[::-1], cond[::-1]
+    step_0d, theta, zero = np.array(step), np.empty(()), np.array(0.0)
     converged = False
     iterations = 0
     prev_obj = np.inf
     for it in range(1, iter_cap + 1):
         np.dot(H, x, out=grad)
-        np.multiply(step, grad, out=x_new)
+        np.multiply(step_0d, grad, out=x_new)
         np.subtract(x, x_new, out=x_new)
-        lam = x_new[:k]
+        lam, cone = views_new
         srt[:] = lam
         srt.sort()
         np.add.accumulate(desc, out=css)
-        np.subtract(css, 1.0, out=css)
-        np.divide(css, ranks, out=crit)
-        np.greater(desc, crit, out=cond)
-        rho = k - int(cond_rev.argmax())  # the last True of cond
-        np.subtract(lam, css[rho - 1] / rho, out=lam)
-        np.maximum(lam, 0.0, out=lam)
+        # Full support (rho = k): the last True of cond is k exactly when
+        # cond[k - 1] holds, and `last` is crit[k - 1], so this is the same
+        # compare of the same doubles, and theta = last is the general path's
+        # division at rho = k. Every weight is >= srt[0] > theta, and x > y
+        # gives fl(x - y) > 0 (gradual underflow), so the clip would change
+        # nothing. A nan or inf makes the compare false: general path.
+        last = (float(css[k - 1]) - 1.0) / k
+        if float(srt[0]) > last:
+            theta[()] = last
+            np.subtract(lam, theta, out=lam)
+        else:
+            np.subtract(css, 1.0, out=css)
+            np.divide(css, ranks, out=crit)
+            np.greater(desc, crit, out=cond)
+            rho = k - int(cond_rev.argmax())  # the last True of cond
+            theta[()] = css[rho - 1] / rho
+            np.subtract(lam, theta, out=lam)
+            np.maximum(lam, zero, out=lam)
         if a:
-            np.maximum(x_new[k + m:], 0.0, out=x_new[k + m:])
+            np.maximum(cone, zero, out=cone)
         np.subtract(x, x_new, out=diff)
         pg_norm = math.sqrt(diff.dot(diff)) / step
         x, x_new = x_new, x
+        views, views_new = views_new, views
         iterations = it
         if it % 100 == 0:
             np.dot(A, x, out=r)

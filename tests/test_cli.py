@@ -69,6 +69,25 @@ def test_analyze_cq_failed_exit_five(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("text,point,verdict,stages", [
+    (P3_TEXT, "0,0", "stationary", ["feasibility", "constraint_qualification", "multiplier_recovery"]),
+    (P3_TEXT, "0,-1", "infeasible", ["feasibility"]),
+    ("dim 2\nobjective abs(x1)\neq x1\neq 2 * x1\n", "0,0", "cq_failed",
+     ["feasibility", "constraint_qualification"]),
+    ("dim 1\nobjective 1 / x1\n", "0", "error", ["feasibility"]),
+])
+def test_analyze_json_times_each_stage_that_ran(text, point, verdict, stages, tmp_path, capsys):
+    path = tmp_path / "timed.prob"
+    path.write_text(text, encoding="utf-8")
+    _, out = run_cli(capsys, "analyze", str(path), "--at=" + point, "--json")
+    payload = json.loads(out)
+    assert payload["verdict"] == verdict
+    assert list(payload["timings"]) == ["analyze_s", "stages"]
+    assert list(payload["timings"]["stages"]) == stages
+    seconds = payload["timings"]["stages"].values()
+    assert all(s >= 0.0 for s in seconds) and sum(seconds) <= payload["timings"]["analyze_s"]
+
+
 def test_analyze_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.prob"
     path.write_text("dim 2\nobjective abs(x3)\n", encoding="utf-8")

@@ -21,8 +21,9 @@ from clarke_kkt.solver import (
 # The reference loop below projects with this plain sort-based copy; the
 # solver inlines the same operations on its buffers.
 
-def project_simplex(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
+def project_simplex(v, rhos=None):
+    """Euclidean projection onto the probability simplex (sort-based); appends
+    its support size rho to the list rhos if one is given."""
     v = np.asarray(v, dtype=float)
     k = v.size
     u = np.sort(v)[::-1]
@@ -30,6 +31,8 @@ def project_simplex(v):
     idx = np.arange(1, k + 1)
     cond = u - css / idx > 0
     rho = int(idx[cond][-1])
+    if rhos is not None:
+        rhos.append(rho)
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 
@@ -399,7 +402,7 @@ def test_huge_finite_normal_matrix_keeps_its_step():
 ReferenceResult = namedtuple("ReferenceResult", "lam z1 z2_active residual converged iterations")
 
 
-def _reference_structured_ls(G, J1, J2a, iter_cap, tol):
+def _reference_structured_ls(G, J1, J2a, iter_cap, tol, rhos=None):
     n, k = G.shape
     J1 = np.zeros((0, n)) if J1 is None else J1
     J2a = np.zeros((0, n)) if J2a is None else J2a
@@ -408,7 +411,7 @@ def _reference_structured_ls(G, J1, J2a, iter_cap, tol):
 
     def project(x):
         out = x.copy()
-        out[:k] = project_simplex(out[:k])
+        out[:k] = project_simplex(out[:k], rhos)
         out[k + m:] = np.maximum(out[k + m:], 0.0)
         return out
 
@@ -457,6 +460,49 @@ def test_buffered_loop_matches_reference_at_scale():
     G, J1 = rng.normal(size=(50, 130)), rng.normal(size=(1, 50))
     result = solve_structured_ls(G, J1=J1, iter_cap=2000)
     _assert_bitwise_equal(result, _reference_structured_ls(G, J1, None, 2000, 1e-10))
+
+
+def _reference_lower_bound(G, J1, J2a, reference):
+    """The dual lower bound at the reference run's exit point, built as the solver builds it."""
+    n = G.shape[0]
+    J1 = np.zeros((0, n)) if J1 is None else J1
+    J2a = np.zeros((0, n)) if J2a is None else J2a
+    Q = np.linalg.qr(J1.T)[0]
+    r = np.hstack([G, J1.T, J2a.T]) @ np.concatenate([reference.lam, reference.z1, reference.z2_active])
+    return solver._dual_lower_bound(Q, G - Q @ (Q.T @ G), J2a.T - Q @ (Q.T @ J2a.T), r)
+
+
+def test_full_support_iterations_match_reference_bitwise():
+    # P4's shape (n = 2, k = 34, m = 1): gradients of (x1 - 1)^2 + x2^2 within
+    # 1e-3 of (1/2, -1/2).  The capped run keeps every weight (rho = k) in
+    # every iteration, so each projection takes the full-support shortcut.
+    points = np.array([0.5, -0.5]) + np.random.default_rng(4).uniform(-1e-3, 1e-3, size=(34, 2))
+    G = np.vstack([2.0 * (points[:, 0] - 1.0), 2.0 * points[:, 1]])
+    J1 = np.array([[1.0, 1.0]])
+    rhos = []
+    reference = _reference_structured_ls(G, J1, None, 3000, 1e-10, rhos)
+    result = solve_structured_ls(G, J1=J1, iter_cap=3000)
+    assert set(rhos) == {34} and len(rhos) == 3000
+    _assert_bitwise_equal(result, reference)
+    assert not result.converged
+    assert result.lower_bound == _reference_lower_bound(G, J1, None, reference)
+
+
+def test_moving_support_iterations_match_reference_bitwise():
+    # B3-like: sign patterns of |x1| + |x2| + x3 at 0, one far column (3, 2, 1)
+    # and the cone row of -x3 <= 0.  The support size rho moves between k and
+    # below k, so both the shortcut and the general projection run.
+    rng = np.random.default_rng(4)
+    G = np.vstack([rng.choice([-1.0, 1.0], size=(2, 8)), np.ones((1, 8))])
+    G[:2, 0] = [3.0, 2.0]
+    J2a = np.array([[0.0, 0.0, -1.0]])
+    rhos = []
+    reference = _reference_structured_ls(G, None, J2a, 3000, 1e-10, rhos)
+    result = solve_structured_ls(G, J2_active=J2a, iter_cap=3000)
+    assert 8 in rhos and min(rhos) < 8
+    _assert_bitwise_equal(result, reference)
+    assert result.converged
+    assert result.lower_bound == _reference_lower_bound(G, None, J2a, reference)
 
 
 # --- dual lower bound and the early stop it allows ---------------------------

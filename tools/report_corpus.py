@@ -100,6 +100,10 @@ EDGE_CASES = {
     "deep_parens": ("dim 1\nobjective " + "(" * 101 + "x1" + ")" * 101 + "\n", "0"),
 }
 
+# abs(x1) near its kink at 0, where the default sampling ball (radius
+# 1e-3 (1 + |u|)) reaches across the kink from every one of these points
+NEAR_KINK = ("dim 1\nobjective abs(x1)\n", ["1e-4", "5e-4", "-1e-3", "5e-7"])
+
 # check-properties beyond P1-P5, as (problem, point).  pow(x1, 400) near its
 # overflow: at 5.74 only a coarser level's maximum overflows when scaled by
 # |10 * e_1|, at 5.78 only a coarser level's stepped points overflow, and at
@@ -175,6 +179,9 @@ def commands():
     for name, (_, point) in EDGE_CASES.items():
         cmds.append(["analyze", "{%s}" % name, "--at=" + point, "--json"])
         cmds.append(["analyze", "{%s}" % name, "--at=" + point])
+    for point in NEAR_KINK[1]:
+        cmds.append(["analyze", "{near_kink}", "--at=" + point, "--json"])
+        cmds.append(["analyze", "{near_kink}", "--at=" + point])
     for name, point in PROPERTY_CASES:
         cmds.append(["check-properties", "{%s}" % name, "--at=" + point, "--json"])
         cmds.append(["check-properties", "{%s}" % name, "--at=" + point])
@@ -196,6 +203,7 @@ def _problem_files(tmp):
     texts.update({f"{family}{n}": family_text(family, n) for family in "AQBME" for n in (2, 5, 20)})
     texts.update({name: text for name, (text, _) in EDGE_CASES.items()})
     texts.update(MALFORMED)
+    texts["near_kink"] = NEAR_KINK[0]
     for name, text in texts.items():
         path = tmp / f"{name}.prob"
         path.write_text(text, encoding="utf-8")
@@ -204,7 +212,7 @@ def _problem_files(tmp):
 
 
 def _strip_timings(argv, text):
-    text = re.sub(r', "timings": \{[^{}]*\}', "", text)
+    text = re.sub(r', "timings": \{(?:[^{}]|\{[^{}]*\})*\}', "", text)  # one nested object deep
     if argv[0] == "suite" and "--json" not in argv:
         text = re.sub(r"(?m)\d+\.\d\d *$", "", text)
     return text
