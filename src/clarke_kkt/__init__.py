@@ -31,7 +31,6 @@ from .kkt import (
 )
 from .problem import (
     ProblemDefinition,
-    eval_constraints,
     eval_objective,
     finite_diff_gradient,
     parse_problem,
@@ -64,7 +63,6 @@ __all__ = [
     "jacobians",
     "verify_stationarity",
     "ProblemDefinition",
-    "eval_constraints",
     "eval_objective",
     "finite_diff_gradient",
     "parse_problem",

@@ -274,11 +274,11 @@ def cmd_check_properties(args, out) -> int:
         point = _parse_point(args.at, prob.n)
         gendir_cfg = GenDirConfig(levels=args.levels, samples_per_level=args.samples,
                                   seed=args.seed)
+        start = time.perf_counter()
+        reports = check_properties(prob, point, gendir_cfg, args.eps_sub)  # ValueError: --levels too fine
     except (ProblemParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    start = time.perf_counter()
-    reports = check_properties(prob, point, gendir_cfg, args.eps_sub)
     elapsed = time.perf_counter() - start
     all_ok = all(r.passed for r in reports)
     if args.as_json:

@@ -33,6 +33,9 @@ BLOCK_FLOATS = 1 << 17
 BASE_RADIUS = 0.1
 BASE_STEP = 0.1
 DECAY = 0.5
+# the finest step must span this many float spacings of 1 + max|u|; a finer
+# step leaves only rounding in the difference quotients
+MIN_STEP_SPACINGS = 2**20
 # what one check_properties call checks
 HOMOGENEITY_LAMBDAS = (0.5, 1.0, 2.0, 10.0)
 SUBADDITIVITY_PAIRS = 20
@@ -138,9 +141,19 @@ def _scaled_level_maxima(prob, u, phis, levels, cfg):
     contiguous slab, and the two operations that fill it run their innermost
     loop over the samples rather than over the n coordinates.  Each coordinate
     still gets the same product and sum, so every result is bitwise equal to
-    the single-direction estimate.
+    the single-direction estimate.  A level whose step is below
+    MIN_STEP_SPACINGS float spacings of 1 + max|u| raises ValueError.
     """
     u = as_point(u, prob.n)
+    floor = MIN_STEP_SPACINGS * math.ulp(1.0 + max(map(abs, u.tolist())))  # ulp == np.spacing here
+    finest = BASE_STEP * DECAY**max(levels)
+    if finest < floor:
+        largest = 0
+        while BASE_STEP * DECAY**(largest + 1) >= floor:
+            largest += 1
+        raise ValueError(f"the step of level {max(levels)} ({finest:.3g}) is below "
+                         f"{MIN_STEP_SPACINGS} float spacings of 1 + max|u| ({floor:.3g}); "
+                         f"the largest level allowed at this point is {largest}")
     rows = _direction_rows(phis, prob.n)
     with np.errstate(over="ignore"):  # an infinite norm fails the scaled check below
         norms = [math.sqrt(row.dot(row)) for row in rows]  # bitwise np.linalg.norm

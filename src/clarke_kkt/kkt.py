@@ -106,7 +106,7 @@ def constraint_walk(prob: ProblemDefinition, u):
     """Values (m + p,), exact Jacobian rows (m + p, n) and kink marks (m + p,)
     of the equality then the inequality constraints at u, from one
     evaluate_with_kinks call per constraint tree.  The values are bitwise
-    those of eval_constraints."""
+    those of evaluate at u."""
     u = as_point(u, prob.n)[None]
     walks = [evaluate_with_kinks(expr, u) for expr in prob.eq + prob.ineq]
     return (np.array([values[0] for values, _, _ in walks]),

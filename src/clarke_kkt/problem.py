@@ -141,14 +141,6 @@ def eval_objective_batch(prob: ProblemDefinition, points) -> np.ndarray:
     return np.asarray(evaluate(prob.objective, points), dtype=float)
 
 
-def eval_constraints(prob: ProblemDefinition, u):
-    """(G1(u), G2(u)) as arrays of shapes (m,) and (p,)."""
-    u = as_point(u, prob.n)
-    eq_values = np.array([float(evaluate(e, u)) for e in prob.eq])
-    ineq_values = np.array([float(evaluate(e, u)) for e in prob.ineq])
-    return eq_values, ineq_values
-
-
 def objective_gradient(prob: ProblemDefinition, u) -> np.ndarray:
     """Exact gradient of the objective at u, from its expression tree.
 

@@ -3,6 +3,8 @@
 Each entry records a minimizer (or a documented stationary point), the
 multipliers derived by hand, and feasible probe points that are provably
 not stationary together with a lower bound on their certificate residual.
+The scaled families (FAMILIES, family_text, family_probe) give a problem
+file and one feasible non-minimizer per member, without certificates.
 """
 from __future__ import annotations
 
@@ -107,6 +109,45 @@ def registry():
             "be read as optimality.",
         ),
     ]
+
+
+# Scaled families, each minimized at 0: A_n and Q_n minimize sum |x_i| and
+# sum (x_i - 1)^2 on sum x_i = 0, B_n |x_1| + ... + |x_{n-1}| + x_n on
+# x_n >= 0, M_n sum (|x_i| - 2 x_i) on x <= 0, and E_n is A_n on x_1 >= 0,
+# x_2 <= x_1.  A, Q and E need n >= 2.
+FAMILIES = "AQBME"
+
+
+def _sum(terms):
+    return " + ".join(terms)
+
+
+def family_text(family, n):
+    """The problem file of family member <family><n>."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    if family == "A":
+        body = f"objective {_sum(f'abs({x})' for x in xs)}\neq {_sum(xs)}\n"
+    elif family == "Q":
+        body = f"objective {_sum(f'pow({x} - 1, 2)' for x in xs)}\neq {_sum(xs)}\n"
+    elif family == "B":
+        body = f"objective {_sum([f'abs({x})' for x in xs[:-1]] + [xs[-1]])}\nineq -{xs[-1]}\n"
+    elif family == "M":
+        body = f"objective {_sum(f'abs({x}) - 2 * {x}' for x in xs)}\n" + "".join(f"ineq {x}\n" for x in xs)
+    else:  # E
+        body = f"objective {_sum(f'abs({x})' for x in xs)}\neq {_sum(xs)}\nineq -x1\nineq x2 - x1\n"
+    return f"name {family}{n}\ndim {n}\n{body}"
+
+
+def family_probe(family, n):
+    """A feasible point of <family><n> other than its minimizer 0."""
+    point = [0.0] * n
+    if family in "AQE":
+        point[0], point[1] = 1.0, -1.0
+    elif family == "B":
+        point[-1] = 0.7
+    else:  # M
+        point[0] = -1.0
+    return tuple(point)
 
 
 def evaluate_entry(entry: SuiteEntry, **verify_kwargs):

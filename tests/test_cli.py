@@ -8,7 +8,7 @@ from clarke_kkt import cli
 from clarke_kkt.problem import parse_problem
 from clarke_kkt.suite import registry
 
-P3_TEXT = "name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n"
+P1_TEXT, P2_TEXT, P3_TEXT, P4_TEXT = (entry.problem_text for entry in registry()[:4])
 
 
 @pytest.fixture
@@ -139,7 +139,7 @@ def test_analyze_wrong_point_dimension_exit_two(p3_file, capsys):
 def test_analyze_negative_point_after_a_space(tmp_path, capsys):
     # argparse alone reads -1,1 as an unknown option and stops at --at
     path = tmp_path / "p2.prob"
-    path.write_text("name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n", encoding="utf-8")
+    path.write_text(P2_TEXT, encoding="utf-8")
     spaced = run_cli(capsys, "analyze", str(path), "--at", "-1,1", "--json")
     joined = run_cli(capsys, "analyze", str(path), "--at=-1,1", "--json")
     assert spaced[0] == joined[0] == 3
@@ -197,7 +197,6 @@ def test_suite_export_round_trips(tmp_path, capsys):
     assert code == 0
     files = sorted((tmp_path / "out").glob("*.prob"))
     assert len(files) == 5
-    from clarke_kkt.suite import registry
     for entry, path in zip(registry(), files):
         assert parse_problem(path.read_text(encoding="utf-8")) == entry.problem
 
@@ -225,7 +224,7 @@ def test_suite_json_deterministic_excluding_timings(capsys):
 
 def test_check_properties_p1(tmp_path, capsys):
     path = tmp_path / "p1.prob"
-    path.write_text("dim 1\nobjective abs(x1)\n", encoding="utf-8")
+    path.write_text(P1_TEXT, encoding="utf-8")
     code, out = run_cli(capsys, "check-properties", str(path), "--at", "0", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -237,9 +236,24 @@ def test_check_properties_p1(tmp_path, capsys):
 
 def test_check_properties_smooth_p4(tmp_path, capsys):
     path = tmp_path / "p4.prob"
-    path.write_text("dim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2\n", encoding="utf-8")
+    path.write_text(P4_TEXT, encoding="utf-8")
     code, _ = run_cli(capsys, "check-properties", str(path), "--at", "0.5,-0.5")
     assert code == 0
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("levels", ["60", "1075"])
+def test_check_properties_levels_below_float_spacing_is_input_error(levels, json_flag, tmp_path, capsys):
+    # at 60 levels the estimates along e_1 read 0.0 where f° = 1; at 1075 the step is 0
+    path = tmp_path / "p1.prob"
+    path.write_text(P1_TEXT, encoding="utf-8")
+    code = cli.main(["check-properties", str(path), "--at", "1", "--levels", levels, *json_flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the step of level {levels} ")
+    assert captured.err.endswith("the largest level allowed at this point is 27\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_check_properties_steep_objective_passes_on_rounding(tmp_path, capsys):
@@ -280,7 +294,7 @@ VERDICT_CONFIG = ["seed", "eps_stat", "active_tol", "sd_radius", "sd_count"]
 def test_json_is_strict_and_config_echoes_own_options(argv, config, tmp_path, capsys):
     # without inequalities max_ineq_violation is -inf, which must come out as null
     path = tmp_path / "p1.prob"
-    path.write_text("dim 1\nobjective abs(x1)\n", encoding="utf-8")
+    path.write_text(P1_TEXT, encoding="utf-8")
     code, out = run_cli(capsys, *(a.format(p1=path) for a in argv), "--json")
     assert code == 0
     payload = _strict_json(out)

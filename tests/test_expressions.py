@@ -295,7 +295,7 @@ def test_gradients_are_exact(tree):
         assert row_values.tobytes() == values[i:i + 1].tobytes()
         assert row_gradients.tobytes() == gradients[i:i + 1].tobytes()
         assert row_kinks.tolist() == kinks[i:i + 1].tolist()
-        # the value eval_constraints reads from the 1-D point
+        # the value evaluate gives at the 1-D point, as eval_objective reads it
         assert row_values.tobytes() == np.array([float(evaluate(tree, points[i]))]).tobytes()
     # against exact central differences, in each coordinate where the
     # forward and backward quotients agree (no kink within h of the point)

@@ -26,6 +26,7 @@ from clarke_kkt.gendir import (
 )
 from clarke_kkt.problem import finite_diff_gradient, parse_problem
 from clarke_kkt.subdiff import membership_test
+from clarke_kkt.suite import registry
 
 
 def dense_grid_oracle_1d(f, u, radius=2e-3, t_max=2e-3, points=1000):
@@ -40,6 +41,7 @@ ABS = parse_problem("dim 1\nobjective abs(x1)")
 NEG_ABS = parse_problem("dim 1\nobjective -abs(x1)")
 SQUARE = parse_problem("dim 1\nobjective pow(x1, 2)")
 MAX2 = parse_problem("dim 2\nobjective max(x1, x2)")
+P2, P4 = registry()[1].problem, registry()[3].problem
 
 
 def test_abs_at_zero_matches_oracle():
@@ -105,6 +107,21 @@ def test_config_validation():
         GenDirConfig(levels=1)
 
 
+@pytest.mark.parametrize("u, largest", [(0.0, 28), (1.0, 27), (2.0**23 - 2, 6), (2.0**23, 5)])
+def test_levels_finer_than_the_float_spacing_raise(u, largest):
+    # the step of the finest level must span 2^20 spacings of 1 + |u|; at u = 1
+    # and 60 levels the estimate along +1 would read 0.0 where f° = 1
+    estimate = estimate_gen_dir_deriv(ABS, [u], [1.0], GenDirConfig(levels=largest))
+    assert estimate.value == pytest.approx(1.0, abs=1e-3)
+    cfg = GenDirConfig(levels=largest + 1)
+    message = f"the largest level allowed at this point is {largest}$"
+    for check in (lambda: estimate_gen_dir_deriv(ABS, [u], [1.0], cfg),
+                  lambda: check_properties(ABS, [u], cfg, None),
+                  lambda: membership_test(ABS, [u], [1.0], cfg)):
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
 # --- property harness -------------------------------------------------------
 
 def test_homogeneity_structural():
@@ -148,8 +165,7 @@ def test_subadditivity_max_along_axes():
 
 
 def test_smooth_estimates_match_gradient_inner_products():
-    prob = parse_problem("dim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2")
-    u = np.array([0.5, -0.5])
+    prob, u = P4, np.array([0.5, -0.5])
     grad = finite_diff_gradient(prob, u)
     for i in range(2):
         for sign in (1.0, -1.0):
@@ -243,9 +259,6 @@ def test_membership_equals_single_direction_gaps_in_any_order():
     for order in (range(count), reversed(range(count)), np.random.default_rng(1).permutation(count)):
         worst = max(gaps[i] for i in order)
         assert membership_test(prob, u, g, cfg) == (worst <= 0.05, worst)
-
-
-P2 = parse_problem("dim 2\nobjective max(x1, x2)\neq x1 + x2")
 
 
 @pytest.mark.parametrize("prob, u, eps_sub", [

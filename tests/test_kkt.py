@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from clarke_kkt import kkt, solver
 from clarke_kkt.kkt import check_constraint_qualification, jacobians, verify_stationarity
 from clarke_kkt.problem import parse_problem
+from clarke_kkt.suite import family_probe, family_text, registry
 
-P2_TEXT = "name P2\ndim 2\nobjective max(x1, x2)\neq x1 + x2\n"
-P3_TEXT = "name P3\ndim 2\nobjective abs(x1) + x2\nineq -x2\n"
-P4_TEXT = "name P4\ndim 2\nobjective pow(x1 - 1, 2) + pow(x2, 2)\neq x1 + x2\n"
+P2_TEXT, P3_TEXT, P4_TEXT = (entry.problem_text for entry in registry()[1:4])
 
 
 def test_jacobians_linear():
@@ -95,11 +94,8 @@ def test_slater_box_corner_is_stationary():
 
 SCALE_CASES = {  # problem text, minimizer, probe
     "P3": (P3_TEXT, [0.0, 0.0], [0.0, 1.0]),
-    "B5": ("dim 5\nobjective abs(x1) + abs(x2) + abs(x3) + abs(x4) + x5\nineq -x5\n",
-           [0.0] * 5, [0.0, 0.0, 0.0, 0.0, 0.7]),
-    "E5": ("dim 5\nobjective abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)\n"
-           "eq x1 + x2 + x3 + x4 + x5\nineq -x1\nineq x2 - x1\n",
-           [0.0] * 5, [1.0, -1.0, 0.0, 0.0, 0.0]),
+    "B5": (family_text("B", 5), [0.0] * 5, family_probe("B", 5)),
+    "E5": (family_text("E", 5), [0.0] * 5, family_probe("E", 5)),
 }
 
 
@@ -331,13 +327,6 @@ def test_non_finite_jacobian_is_cq_stage_error():
 
 
 # --- proven not_stationary: the residual lower bound ---------------------------
-
-def family_text(family, n):
-    """Q_n: sum (x_i - 1)^2; A_n: sum |x_i|; both subject to sum x_i = 0."""
-    term = "pow(x{} - 1, 2)" if family == "Q" else "abs(x{})"
-    objective = " + ".join(term.format(i) for i in range(1, n + 1))
-    return f"dim {n}\nobjective {objective}\neq {' + '.join(f'x{i}' for i in range(1, n + 1))}\n"
-
 
 def verify_with_solve(monkeypatch, prob, u, **kwargs):
     """verify_stationarity, and the StructuredLSResult of its multiplier solve."""

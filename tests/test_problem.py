@@ -5,8 +5,8 @@ import pytest
 from clarke_kkt import subdiff
 from clarke_kkt.errors import EvaluationDomainError, ProblemParseError
 from clarke_kkt.expressions import evaluate_with_gradient
+from clarke_kkt.kkt import constraint_walk
 from clarke_kkt.problem import (
-    eval_constraints,
     eval_objective,
     finite_diff_gradient,
     objective_gradient,
@@ -66,8 +66,7 @@ def test_problem_round_trip_evaluates_identically():
     rng = np.random.default_rng(1)
     for point in rng.uniform(-5, 5, size=(100, 3)):
         assert eval_objective(again, point) == eval_objective(prob, point)
-        for a, b in zip(eval_constraints(again, point), eval_constraints(prob, point)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(constraint_walk(again, point)[0], constraint_walk(prob, point)[0])
 
 
 def test_eval_objective_values():
@@ -83,18 +82,17 @@ def test_eval_objective_domain_error():
         eval_objective(prob, [0.0])
 
 
-def test_eval_constraints():
+def test_constraint_walk_values():
     prob = parse_problem("dim 2\nobjective x1\neq x1 + x2\nineq -x2")
-    eq_values, ineq_values = eval_constraints(prob, [1.0, -1.0])
-    np.testing.assert_array_equal(eq_values, [0.0])
-    np.testing.assert_array_equal(ineq_values, [1.0])
+    values = constraint_walk(prob, [1.0, -1.0])[0]
+    np.testing.assert_array_equal(values[:prob.m], [0.0])
+    np.testing.assert_array_equal(values[prob.m:], [1.0])
 
 
-def test_eval_constraints_empty():
+def test_constraint_walk_empty():
     prob = parse_problem("dim 2\nobjective x1")
-    eq_values, ineq_values = eval_constraints(prob, [3.0, 4.0])
-    assert eq_values.shape == (0,)
-    assert ineq_values.shape == (0,)
+    values, rows, kinked = constraint_walk(prob, [3.0, 4.0])
+    assert values.shape == (0,) and rows.shape == (0, 2) and kinked.shape == (0,)
 
 
 def test_eval_is_pure():

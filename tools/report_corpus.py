@@ -32,38 +32,6 @@ from clarke_kkt import cli, suite  # noqa: E402
 WARNING = re.compile(r"(?m)^.*:\d+: \w*Warning: ")
 
 
-def _sum(terms):
-    return " + ".join(terms)
-
-
-def family_text(family, n):
-    """A_n, Q_n, B_n, M_n or E_n as a problem file."""
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    if family == "A":
-        body = f"objective {_sum(f'abs({x})' for x in xs)}\neq {_sum(xs)}\n"
-    elif family == "Q":
-        body = f"objective {_sum(f'pow({x} - 1, 2)' for x in xs)}\neq {_sum(xs)}\n"
-    elif family == "B":
-        body = f"objective {_sum([f'abs({x})' for x in xs[:-1]] + [xs[-1]])}\nineq -{xs[-1]}\n"
-    elif family == "M":
-        body = f"objective {_sum(f'abs({x}) - 2 * {x}' for x in xs)}\n" + "".join(f"ineq {x}\n" for x in xs)
-    else:  # E
-        body = f"objective {_sum(f'abs({x})' for x in xs)}\neq {_sum(xs)}\nineq -x1\nineq x2 - x1\n"
-    return f"name {family}{n}\ndim {n}\n{body}"
-
-
-def family_probe(family, n):
-    """A feasible point of the family that is not its minimizer."""
-    point = [0.0] * n
-    if family in "AQE":
-        point[0], point[1] = 1.0, -1.0
-    elif family == "B":
-        point[-1] = 0.7
-    else:  # M
-        point[0] = -1.0
-    return ",".join(repr(v) for v in point)
-
-
 # P1-P5 as the suite defines them, and the points each one is analyzed at
 SUITE_TEXT = {entry.name: entry.problem_text for entry in suite.registry()}
 SUITE_POINTS = {
@@ -96,7 +64,7 @@ EDGE_CASES = {
     "scaled_rows": ("dim 1\nobjective x1\nineq -0.02 * x1\nineq -1.6 * x1\n", "0"),
     "infeasible": (SUITE_TEXT["P2"], "1,0"),
     "active_and_inactive": ("dim 2\nobjective abs(x1) + x2\nineq -x2\nineq x1 - 5\neq x1 - x1 * x2\n", "0,0"),
-    "deep_sum": ("dim 1\nobjective " + _sum(["abs(x1)"] * 2000) + "\n", "0"),
+    "deep_sum": ("dim 1\nobjective " + " + ".join(["abs(x1)"] * 2000) + "\n", "0"),
     "deep_parens": ("dim 1\nobjective " + "(" * 101 + "x1" + ")" * 101 + "\n", "0"),
 }
 
@@ -170,10 +138,10 @@ def commands():
     cmds.append(["analyze", "{P4}", "--at", "0.5,-0.5", "--eps-stat", "1e-4", "--json"])
     cmds.append(["analyze", "{P4}", "--at", "0.5,-0.5", "--eps-stat", "1e-4"])
     cmds.append(["analyze", "{P1}", "--at", "-1e-3", "--json"])
-    for family in "AQBME":
+    for family in suite.FAMILIES:
         for n in (2, 5, 20):
             name = f"{family}{n}"
-            for point in (",".join(["0"] * n), family_probe(family, n)):
+            for point in (",".join(["0"] * n), ",".join(repr(v) for v in suite.family_probe(family, n))):
                 cmds.append(["analyze", "{%s}" % name, "--at=" + point, "--json"])
                 cmds.append(["analyze", "{%s}" % name, "--at=" + point])
     for name, (_, point) in EDGE_CASES.items():
@@ -200,7 +168,8 @@ def commands():
 def _problem_files(tmp):
     files = {"TMP": str(tmp)}
     texts = dict(SUITE_TEXT)
-    texts.update({f"{family}{n}": family_text(family, n) for family in "AQBME" for n in (2, 5, 20)})
+    texts.update({f"{family}{n}": suite.family_text(family, n)
+                  for family in suite.FAMILIES for n in (2, 5, 20)})
     texts.update({name: text for name, (text, _) in EDGE_CASES.items()})
     texts.update(MALFORMED)
     texts["near_kink"] = NEAR_KINK[0]
