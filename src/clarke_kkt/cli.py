@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ClarkeKKTError, ProblemParseError
-from .gendir import GenDirConfig, check_properties
+from .gendir import MAX_LEVELS, GenDirConfig, check_properties
 from .kkt import DEFAULT_ACTIVE_TOL, DEFAULT_EPS_STAT, verify_stationarity
 from .problem import parse_problem
 from .suite import evaluate_entry, registry
@@ -104,7 +104,7 @@ OPTIONS = {
     "seed": dict(type=_nonnegative_int, default=None,
                  help=f"sampling seed (default: ${SEED_ENV}, else {GenDirConfig.seed})"),
     "levels": dict(type=int, default=GenDirConfig.levels,
-                   help="finest sampling level; the checks sample it alone"),
+                   help=f"finest sampling level, 2 to {MAX_LEVELS}; the checks sample it alone"),
     "samples": dict(type=int, default=GenDirConfig.samples_per_level),
     "eps_stat": dict(type=_bounded(float, positive=False), default=DEFAULT_EPS_STAT),
     "active_tol": dict(type=_bounded(float, positive=False), default=DEFAULT_ACTIVE_TOL),
@@ -273,9 +273,9 @@ def cmd_check_properties(args, out) -> int:
         prob = _load_problem(args.file)
         point = _parse_point(args.at, prob.n)
         gendir_cfg = GenDirConfig(levels=args.levels, samples_per_level=args.samples,
-                                  seed=args.seed)
+                                  seed=args.seed)  # ValueError: --levels outside 2..MAX_LEVELS
         start = time.perf_counter()
-        reports = check_properties(prob, point, gendir_cfg, args.eps_sub)  # ValueError: --levels too fine
+        reports = check_properties(prob, point, gendir_cfg, args.eps_sub)
     except (ProblemParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,11 +1,17 @@
 """Sampled estimation of the generalized directional derivative.
 
 The theoretical quantity is a supremum of limsup difference quotients over
-all base-point and step sequences approaching (u, 0+).  The estimator
-replaces it with a finite multi-scale max: at level k it draws base points
-within radius BASE_RADIUS*DECAY^k of u and steps in (0, BASE_STEP*DECAY^k],
-records the level maximum of (F(v + t*d) - F(v)) / t along the normalized
-direction d, and reports the finest level scaled by the direction norm.
+all base-point and step sequences approaching (u, 0+), so any radii and
+steps that shrink to 0 estimate it.  The estimator replaces it with a
+finite multi-scale max: at level k it draws base points within radius
+BASE_RADIUS*DECAY^k*s of u and steps in (0, BASE_STEP*DECAY^k*s], where s
+is the binade of 1 + max|u| (the power of two 2^e with 2^e <= 1 + max|u| <
+2^(e+1); s = 1 while 1 + max|u| < 2).  It records the level maximum of
+(F(v + t*d) - F(v)) / t along the normalized direction d, and reports the
+finest level scaled by the direction norm.  Since the float spacing of
+1 + max|u| is s * 2^-52, the finest step of MAX_LEVELS levels spans 2^20
+spacings at every point: a finer step would leave only rounding in the
+quotients.
 
 estimate_gen_dir_deriv(s) sample every level 1..levels and keep the coarse
 maxima in GenDirEstimate.per_level, for convergence diagnostics.  The
@@ -33,9 +39,9 @@ BLOCK_FLOATS = 1 << 17
 BASE_RADIUS = 0.1
 BASE_STEP = 0.1
 DECAY = 0.5
-# the finest step must span this many float spacings of 1 + max|u|; a finer
-# step leaves only rounding in the difference quotients
-MIN_STEP_SPACINGS = 2**20
+# BASE_STEP * DECAY**28 >= 2**-32: the finest step spans at least 2**20
+# float spacings of 1 + max|u| (see the module docstring)
+MAX_LEVELS = 28
 # what one check_properties call checks
 HOMOGENEITY_LAMBDAS = (0.5, 1.0, 2.0, 10.0)
 SUBADDITIVITY_PAIRS = 20
@@ -48,8 +54,8 @@ class GenDirConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("levels must be at least 2")
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"levels must be from 2 to {MAX_LEVELS}")
         if self.samples_per_level < 1:
             raise ValueError("samples_per_level must be at least 1")
 
@@ -141,19 +147,12 @@ def _scaled_level_maxima(prob, u, phis, levels, cfg):
     contiguous slab, and the two operations that fill it run their innermost
     loop over the samples rather than over the n coordinates.  Each coordinate
     still gets the same product and sum, so every result is bitwise equal to
-    the single-direction estimate.  A level whose step is below
-    MIN_STEP_SPACINGS float spacings of 1 + max|u| raises ValueError.
+    the single-direction estimate.  Every radius and step is scaled by the
+    binade of 1 + max|u|, a power of two, so each is exact (and unchanged
+    while 1 + max|u| < 2).
     """
     u = as_point(u, prob.n)
-    floor = MIN_STEP_SPACINGS * math.ulp(1.0 + max(map(abs, u.tolist())))  # ulp == np.spacing here
-    finest = BASE_STEP * DECAY**max(levels)
-    if finest < floor:
-        largest = 0
-        while BASE_STEP * DECAY**(largest + 1) >= floor:
-            largest += 1
-        raise ValueError(f"the step of level {max(levels)} ({finest:.3g}) is below "
-                         f"{MIN_STEP_SPACINGS} float spacings of 1 + max|u| ({floor:.3g}); "
-                         f"the largest level allowed at this point is {largest}")
+    scale = math.ulp(1.0 + max(map(abs, u.tolist()))) * 2**52  # the binade of 1 + max|u|
     rows = _direction_rows(phis, prob.n)
     with np.errstate(over="ignore"):  # an infinite norm fails the scaled check below
         norms = [math.sqrt(row.dot(row)) for row in rows]  # bitwise np.linalg.norm
@@ -168,8 +167,8 @@ def _scaled_level_maxima(prob, u, phis, levels, cfg):
     buf = np.empty((prob.n, block_size, samples))
     maxima = np.empty((len(moving), len(levels)))
     for column, level in enumerate(levels):
-        radius = BASE_RADIUS * DECAY**level
-        t_max = BASE_STEP * DECAY**level
+        radius = BASE_RADIUS * DECAY**level * scale
+        t_max = BASE_STEP * DECAY**level * scale
         rng = sampling.substream(cfg.seed, sampling.NS_GENDIR, level)
         base = sampling.ball_points(rng, u, radius, samples)
         steps = t_max * (1.0 - rng.random(samples))  # in (0, t_max]

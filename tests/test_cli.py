@@ -242,18 +242,32 @@ def test_check_properties_smooth_p4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-@pytest.mark.parametrize("levels", ["60", "1075"])
+@pytest.mark.parametrize("levels", ["29", "60", "1075"])
 def test_check_properties_levels_below_float_spacing_is_input_error(levels, json_flag, tmp_path, capsys):
-    # at 60 levels the estimates along e_1 read 0.0 where f° = 1; at 1075 the step is 0
+    # past 28 levels the finest step spans fewer than 2**20 float spacings of
+    # 1 + max|u| at any point; at 1075 it is 0
     path = tmp_path / "p1.prob"
     path.write_text(P1_TEXT, encoding="utf-8")
     code = cli.main(["check-properties", str(path), "--at", "1", "--levels", levels, *json_flag])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: the step of level {levels} ")
-    assert captured.err.endswith("the largest level allowed at this point is 27\n")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: levels must be from 2 to 28\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("point", ["1e7", "134217728"])
+def test_check_properties_at_a_large_point_is_ok(point, as_json, tmp_path, capsys):
+    # the default 6 levels scale with the binade of 1 + |u| (2**23 and 2**27 here)
+    path = tmp_path / "abs.prob"
+    path.write_text("dim 1\nobjective abs(x1)\n", encoding="utf-8")
+    assert cli.main(["check-properties", str(path), "--at", point] + ["--json"] * as_json) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if as_json:
+        assert _strict_json(captured.out)["ok"] is True
+    else:
+        assert captured.out.endswith("overall: ok\n")
 
 
 def test_check_properties_steep_objective_passes_on_rounding(tmp_path, capsys):

@@ -4,6 +4,7 @@ The oracle for 1-d problems is a dense deterministic grid of difference
 quotients (F(v + t) - F(v)) / t over base points v near u and steps t near
 0, evaluated vectorized and independently of the estimator.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from clarke_kkt.gendir import (
     BLOCK_FLOATS,
     DECAY,
     HOMOGENEITY_LAMBDAS,
+    MAX_LEVELS,
     SUBADDITIVITY_PAIRS,
     GenDirConfig,
     check_homogeneity,
@@ -88,14 +90,15 @@ def test_estimate_deterministic():
 
 
 def test_dominates_plain_quotient_at_base_point():
-    # u is forced into each level's sample set with the maximal step
+    # u is forced into each level's sample set with the maximal step, which
+    # scales with the binade of 1 + max|u| (2 at u = 1)
     cfg = GenDirConfig()
     for prob, u, phi in [(ABS, [0.0], [1.0]), (MAX2, [0.0, 0.0], [1.0, -1.0]),
                          (SQUARE, [1.0], [-1.0])]:
         u = np.asarray(u, dtype=float)
         phi = np.asarray(phi, dtype=float)
         est = estimate_gen_dir_deriv(prob, u, phi, cfg)
-        t = BASE_STEP * DECAY**cfg.levels
+        t = BASE_STEP * DECAY**cfg.levels * math.ulp(1.0 + np.max(np.abs(u))) * 2**52
         d = phi / np.linalg.norm(phi)
         from clarke_kkt.problem import eval_objective
         plain = np.linalg.norm(phi) * (eval_objective(prob, u + t * d) - eval_objective(prob, u)) / t
@@ -105,21 +108,26 @@ def test_dominates_plain_quotient_at_base_point():
 def test_config_validation():
     with pytest.raises(ValueError):
         GenDirConfig(levels=1)
+    # a 29th level's step, 0.1 * 2**-29 times the binade of 1 + max|u|, spans
+    # fewer than 2**20 float spacings of 1 + max|u| at every point
+    assert MAX_LEVELS == 28
+    with pytest.raises(ValueError, match="^levels must be from 2 to 28$"):
+        GenDirConfig(levels=29)
 
 
-@pytest.mark.parametrize("u, largest", [(0.0, 28), (1.0, 27), (2.0**23 - 2, 6), (2.0**23, 5)])
-def test_levels_finer_than_the_float_spacing_raise(u, largest):
-    # the step of the finest level must span 2^20 spacings of 1 + |u|; at u = 1
-    # and 60 levels the estimate along +1 would read 0.0 where f° = 1
-    estimate = estimate_gen_dir_deriv(ABS, [u], [1.0], GenDirConfig(levels=largest))
-    assert estimate.value == pytest.approx(1.0, abs=1e-3)
-    cfg = GenDirConfig(levels=largest + 1)
-    message = f"the largest level allowed at this point is {largest}$"
-    for check in (lambda: estimate_gen_dir_deriv(ABS, [u], [1.0], cfg),
-                  lambda: check_properties(ABS, [u], cfg, None),
-                  lambda: membership_test(ABS, [u], [1.0], cfg)):
-        with pytest.raises(ValueError, match=message):
-            check()
+@pytest.mark.parametrize("u", [0.0, 1.0, 2.0**23 - 2, 2.0**23, 2.0**27, 1e300])
+def test_finest_allowed_level_reads_f_degree_at_every_magnitude(u):
+    # radii and steps scale with the binade of 1 + |u|, so the 28th level's
+    # step spans 2**20 float spacings of 1 + |u| wherever u lies; f° = 1 along +1
+    cfg = GenDirConfig(levels=MAX_LEVELS)
+    assert estimate_gen_dir_deriv(ABS, [u], [1.0], cfg).value == pytest.approx(1.0, abs=1e-3)
+    reports = check_properties(ABS, [u], cfg, None)
+    assert all(report.passed for report in reports)
+    identity = [case for case in reports[0].cases if case["lambda"] == 1.0]
+    assert [case["estimate"] for case in identity] == [pytest.approx(1.0, abs=1e-3)]
+    member, worst_gap = membership_test(ABS, [u], [1.0], cfg)
+    assert member
+    assert worst_gap == pytest.approx(0.0, abs=1e-3)  # the gap of +1 along +1
 
 
 # --- property harness -------------------------------------------------------
@@ -348,7 +356,7 @@ def test_no_directions_give_no_estimates():
 def test_estimate_that_overflows_when_scaled_raises():
     # every level maximum is finite, but the coarsest one times |phi| = 10 is not
     with pytest.raises(EstimationFailureError, match="^non-finite estimate when scaled by the direction norm$"):
-        estimate_gen_dir_deriv(POW400, [5.74], [10.0], GenDirConfig(seed=42))
+        estimate_gen_dir_deriv(POW400, [5.5], [10.0], GenDirConfig(seed=42))
     with pytest.raises(EstimationFailureError, match="^non-finite estimate when scaled by the direction norm$"):
         estimate_gen_dir_deriv(SQUARE, [0.0], [1e200], GenDirConfig(seed=42))  # |phi|**2 overflows
 

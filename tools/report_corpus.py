@@ -73,15 +73,20 @@ EDGE_CASES = {
 NEAR_KINK = ("dim 1\nobjective abs(x1)\n", ["1e-4", "5e-4", "-1e-3", "5e-7"])
 
 # check-properties beyond P1-P5, as (problem, point).  pow(x1, 400) near its
-# overflow: at 5.74 only a coarser level's maximum overflows when scaled by
-# |10 * e_1|, at 5.78 only a coarser level's stepped points overflow, and at
-# 5.8 the finest level's maximum overflows when scaled.  A20 at 0 fills
-# several blocks of the estimator's buffer.
+# overflow: at 5.5 only a coarser level's maximum overflows when scaled by
+# |10 * e_1|, at 5.74 and 5.78 only a coarser level's stepped points
+# overflow, and at 5.8 the finest level's maximum overflows when scaled.
+# abs(x1) at 1e7 and 2**27, where the estimator's radii and steps scale by
+# the binade of 1 + |u|.  A20 at 0 fills several blocks of the estimator's
+# buffer.
 PROPERTY_CASES = [
     ("overflow_objective", "5.74"),
     ("overflow_objective", "5.78"),
     ("overflow_objective", "5.8"),
     ("A20", ",".join(["0"] * 20)),
+    ("near_kink", "1e7"),
+    ("near_kink", "134217728"),
+    ("overflow_objective", "5.5"),
 ]
 
 MALFORMED = {
