@@ -8,6 +8,8 @@ safe to evaluate concurrently.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Namespace tags keep the streams of different operations disjoint when
@@ -30,7 +32,7 @@ def ball_point(rng, center, radius):
     center = np.asarray(center, dtype=float)
     n = center.size
     g = rng.standard_normal(n)
-    nrm = np.linalg.norm(g)
+    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's bits on a 1-D float array
     if nrm == 0.0:
         return center.copy()
     rad = radius * rng.random() ** (1.0 / n)

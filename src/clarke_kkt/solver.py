@@ -21,11 +21,33 @@ iteration of a capped multiplier solve) it subtracts theta and skips the
 criterion at the other ranks and the clip at 0, since every weight then
 exceeds theta; any other case, a nan or inf included, takes the general path.
 
-The loop also keeps a dual lower bound on its optimal residual and stops
-once that bound exceeds ``stop_above`` and the current residual is within
-``GAP_RTOL`` of it: the optimum is then proven to lie above ``stop_above``,
-and more iterations could not change that. The default
-``stop_above=math.inf`` never stops early.
+The loop runs in blocks of BLOCK = 100 iterations. At a block's last
+iteration it checks that the objective has not grown, tests the stop rule
+``sqrt(d.d) / step <= tol`` on the step d = x - x_new, and updates a dual
+lower bound on its optimal residual, in this order. It stops once that bound
+exceeds ``stop_above`` and the current residual is within ``GAP_RTOL`` of it:
+the optimum is then proven to lie above ``stop_above``, and more iterations
+could not change that. The default ``stop_above=math.inf`` never stops early.
+
+The stop rule costs about a quarter of an iteration, so it runs at every
+iteration only while a stop is near: in the first two blocks, and while the
+projected-gradient norms pg at the last two block ends fall fast enough
+that their geometric trend reaches tol within 1.5 blocks,
+pg * (pg / pg_before)^1.5 <= tol. Any other block writes its iterates into
+the rows of one buffer and screens them at its end: one subtraction gives
+every step d_j, one einsum their squared norms s_j, and a row is flagged
+when s_j <= max((2 t step)^2, 2^-1000) with t = max(tol, 2^-1074). The
+flagged rows take the exact test in order, and the first that passes is the
+stop: the solve returns its iterate, as the per-iteration test would have.
+The screen cannot miss a stop. The exact test passes only if
+|d| / step <= tol (1 + 2^-52) + 2^-1075 < 1.6 t, since the quotient rounds
+to the nearest double and one below 2^-1075 reads 0 (so tol = 0 stops a
+moving iterate once step exceeds |d| 2^1075). s_j and the BLAS dot differ
+only in summation order and rounding (fused or not), a relative error near
+n 2^-53, far inside the factor 1.5 that remains of the squared threshold;
+squares of subnormal entries lose relative accuracy, so every row under
+2^-1000 is flagged. A wrong prediction costs the rest of one block, and no
+bit of any iterate.
 """
 from __future__ import annotations
 
@@ -38,6 +60,7 @@ from .errors import EstimationFailureError
 
 SLATER_MARGIN = 1e-3  # least uniform descent rate of a unit Slater direction on unit rows
 GAP_RTOL = 1e-3  # relative gap between residual and lower bound at an early stop
+BLOCK = 100  # iterations per objective guard, dual bound and stop screen
 
 
 @dataclass(frozen=True)
@@ -128,7 +151,7 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     # desc - crit > 0 (gradual underflow). step, theta and the clips' 0.0 are
     # 0-d arrays, which numpy takes faster than Python floats, with the same
     # doubles. Each x buffer's weight and cone views are made once and swap
-    # with it.
+    # with it; a block's rows get theirs when first written.
     x_new, grad, diff = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     views, views_new = (x[:k], x[k + m:]), (x_new[:k], x_new[k + m:])
     srt, css, crit, r = np.empty(k), np.empty(k), np.empty(k), np.empty(n)
@@ -136,55 +159,94 @@ def solve_structured_ls(G, J1=None, J2_active=None, iter_cap=50000, tol=1e-10, *
     ranks = np.arange(1.0, k + 1)
     desc, cond_rev = srt[::-1], cond[::-1]
     step_0d, theta, zero = np.array(step), np.empty(()), np.array(0.0)
+    X = D = sq = None  # a block's iterates, their differences and squared norms
+    rows = []  # (X[j], weights, cone) for the rows j = 1, 2, ... written so far
     converged = False
     iterations = 0
     prev_obj = np.inf
-    for it in range(1, iter_cap + 1):
-        np.dot(H, x, out=grad)
-        np.multiply(step_0d, grad, out=x_new)
-        np.subtract(x, x_new, out=x_new)
-        lam, cone = views_new
-        srt[:] = lam
-        srt.sort()
-        np.add.accumulate(desc, out=css)
-        # Full support (rho = k): the last True of cond is k exactly when
-        # cond[k - 1] holds, and `last` is crit[k - 1], so this is the same
-        # compare of the same doubles, and theta = last is the general path's
-        # division at rho = k. Every weight is >= srt[0] > theta, and x > y
-        # gives fl(x - y) > 0 (gradual underflow), so the clip would change
-        # nothing. A nan or inf makes the compare false: general path.
-        last = (float(css[k - 1]) - 1.0) / k
-        if float(srt[0]) > last:
-            theta[()] = last
-            np.subtract(lam, theta, out=lam)
-        else:
-            np.subtract(css, 1.0, out=css)
-            np.divide(css, ranks, out=crit)
-            np.greater(desc, crit, out=cond)
-            rho = k - int(cond_rev.argmax())  # the last True of cond
-            theta[()] = css[rho - 1] / rho
-            np.subtract(lam, theta, out=lam)
-            np.maximum(lam, zero, out=lam)
-        if a:
-            np.maximum(cone, zero, out=cone)
-        np.subtract(x, x_new, out=diff)
-        pg_norm = math.sqrt(diff.dot(diff)) / step
-        x, x_new = x_new, x
-        views, views_new = views_new, views
-        iterations = it
-        if it % 100 == 0:
+    pg_prev = pg_norm = math.inf
+    start = 0
+    while start < iter_cap:
+        end = min(start + BLOCK, iter_cap)
+        near = start < 2 * BLOCK or (pg_norm < pg_prev and pg_norm * (pg_norm / pg_prev) ** 1.5 <= tol)
+        if not near:
+            if X is None:
+                X, D, sq = np.empty((BLOCK + 1, x.size)), np.empty((BLOCK, x.size)), np.empty(BLOCK)
+                reach = 2.0 * max(float(tol), 5e-324) * step
+                screen = max(reach * reach, 2.0 ** -1000)
+            X[0] = x
+            home = x, x_new
+        for it in range(start + 1, end + 1):
+            if near:
+                lam, cone = views_new
+            else:
+                j = it - start
+                if j > len(rows):
+                    rows.append((X[j], X[j, :k], X[j, k + m:]))
+                x_new, lam, cone = rows[j - 1]
+            np.dot(H, x, out=grad)
+            np.multiply(step_0d, grad, out=x_new)
+            np.subtract(x, x_new, out=x_new)
+            srt[:] = lam
+            srt.sort()
+            np.add.accumulate(desc, out=css)
+            # Full support (rho = k): the last True of cond is k exactly when
+            # cond[k - 1] holds, and `last` is crit[k - 1], so this is the same
+            # compare of the same doubles, and theta = last is the general path's
+            # division at rho = k. Every weight is >= srt[0] > theta, and x > y
+            # gives fl(x - y) > 0 (gradual underflow), so the clip would change
+            # nothing. A nan or inf makes the compare false: general path.
+            last = (float(css[k - 1]) - 1.0) / k
+            if float(srt[0]) > last:
+                theta[()] = last
+                np.subtract(lam, theta, out=lam)
+            else:
+                np.subtract(css, 1.0, out=css)
+                np.divide(css, ranks, out=crit)
+                np.greater(desc, crit, out=cond)
+                rho = k - int(cond_rev.argmax())  # the last True of cond
+                theta[()] = css[rho - 1] / rho
+                np.subtract(lam, theta, out=lam)
+                np.maximum(lam, zero, out=lam)
+            if a:
+                np.maximum(cone, zero, out=cone)
+            x, x_new = x_new, x
+            if near:
+                views, views_new = views_new, views
+                np.subtract(x_new, x, out=diff)
+                if math.sqrt(diff.dot(diff)) / step <= tol:
+                    break
+        end = it
+        if not near:
+            # screen the block's other iterations (module docstring)
+            n_rows = end - start - 1
+            np.subtract(X[:n_rows], X[1:n_rows + 1], out=D[:n_rows])
+            np.einsum("ij,ij->i", D[:n_rows], D[:n_rows], out=sq[:n_rows])
+            for i in np.flatnonzero(sq[:n_rows] <= screen).tolist():
+                np.subtract(X[i], X[i + 1], out=diff)
+                if math.sqrt(diff.dot(diff)) / step <= tol:
+                    end = start + i + 1
+                    break
+            x, x_new = home
+            np.copyto(x, X[end - start])
+            np.copyto(x_new, X[end - start - 1])
+        iterations = end
+        if end % BLOCK == 0:
             np.dot(A, x, out=r)
             obj = r.dot(r)  # ||A x||^2 = x.Hx / 2
             if not obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)):  # a step above 2/L diverges
                 raise EstimationFailureError("multiplier least-squares objective increased")
             prev_obj = obj
+        np.subtract(x_new, x, out=diff)
+        pg_prev, pg_norm = pg_norm, math.sqrt(diff.dot(diff)) / step
         if pg_norm <= tol:
             converged = True
             break
-        if it % 100 == 0:
+        if end % BLOCK == 0:
             bound = _dual_lower_bound(Q, PG, PC, r)
             if bound > stop_above and math.sqrt(obj) - bound <= GAP_RTOL * bound:
                 break
+        start = end
     r = A @ x
     residual = float(np.linalg.norm(r))
     bound = _dual_lower_bound(Q, PG, PC, r)

@@ -402,7 +402,9 @@ def test_huge_finite_normal_matrix_keeps_its_step():
 ReferenceResult = namedtuple("ReferenceResult", "lam z1 z2_active residual converged iterations")
 
 
-def _reference_structured_ls(G, J1, J2a, iter_cap, tol, rhos=None):
+def _reference_structured_ls(G, J1, J2a, iter_cap, tol, rhos=None, pgs=None):
+    """The plain loop; appends each projection's support size to the list rhos
+    and each iteration's projected-gradient norm to the list pgs if given."""
     n, k = G.shape
     J1 = np.zeros((0, n)) if J1 is None else J1
     J2a = np.zeros((0, n)) if J2a is None else J2a
@@ -425,6 +427,8 @@ def _reference_structured_ls(G, J1, J2a, iter_cap, tol, rhos=None):
     for it in range(1, iter_cap + 1):
         x_new = project(x - step * (H @ x))
         pg_norm = float(np.linalg.norm(x - x_new)) / step
+        if pgs is not None:
+            pgs.append(pg_norm)
         x = x_new
         iterations = it
         if pg_norm <= tol:
@@ -503,6 +507,88 @@ def test_moving_support_iterations_match_reference_bitwise():
     _assert_bitwise_equal(result, reference)
     assert result.converged
     assert result.lower_bound == _reference_lower_bound(G, None, J2a, reference)
+
+
+# The solver tests its stop rule at every iteration only while pg predicts a
+# stop within 1.5 blocks of BLOCK iterations; other blocks are screened at
+# their end (solver module docstring). The cases below reach those blocks.
+
+def _b5_shape():
+    # B5 at 0: sign patterns of |x1| + ... + |x4| + x5, and the cone row of -x5 <= 0
+    rng = np.random.default_rng(0)
+    G = np.vstack([rng.choice([-1.0, 1.0], size=(4, 40)), np.ones((1, 40))])
+    return G, np.array([[0.0, 0.0, 0.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("iter_cap,at", [(2000, 301), (2000, 350), (2000, 400), (2000, 401),
+                                         (2000, 1001), (2000, None), (250, None), (1001, None)])
+def test_screened_blocks_match_reference_bitwise(iter_cap, at):
+    # tol is the reference's pg at iteration `at` (1e-10 if None), so the run
+    # stops at `at`: inside a block, or on its last iteration (400). pg falls
+    # by a factor 0.141 per block, so the trend finds each stop 1.5 blocks
+    # ahead: the blocks from 200 to there are screened (none for 301, up to
+    # 1100 for None), and the caps 250 and 1001 end a screened block early.
+    G, J2a = _b5_shape()
+    pgs = []
+    _reference_structured_ls(G, None, J2a, iter_cap, 1e-10, pgs=pgs)
+    tol = 1e-10 if at is None else pgs[at - 1]
+    reference = _reference_structured_ls(G, None, J2a, iter_cap, tol)
+    result = solve_structured_ls(G, J2_active=J2a, iter_cap=iter_cap, tol=tol)
+    assert reference.iterations == (min(len(pgs), iter_cap) if at is None else at)
+    _assert_bitwise_equal(result, reference)
+    assert result.lower_bound == _reference_lower_bound(G, None, J2a, reference)
+
+
+@pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-160])
+def test_steps_with_subnormal_squares_match_reference_bitwise(tol):
+    # z1 tends to 1e-140, so its last ~100 steps are below 1.5e-154 and their
+    # squares subnormal, and then the iterate stops moving: pg drops from
+    # about 3e-3 to exactly 0 within a screened block, and every tol stops there
+    rng = np.random.default_rng(0)
+    G, J1, J2a = rng.normal(size=(2, 4)) * 1e-63, rng.normal(size=(2, 2)) * 1e76, rng.normal(size=(1, 2)) * 1e76
+    pgs = []
+    reference = _reference_structured_ls(G, J1, J2a, 3000, tol, pgs=pgs)
+    step = spectral_upper_step(2.0 * (np.hstack([G, J1.T, J2a.T]).T @ np.hstack([G, J1.T, J2a.T])))
+    assert sum(0.0 < pg * step < 1.5e-154 for pg in pgs) > 50
+    assert reference.converged and pgs[-1] == 0.0 and pgs[-2] > 1e-3
+    result = solve_structured_ls(G, J1=J1, J2_active=J2a, iter_cap=3000, tol=tol)
+    _assert_bitwise_equal(result, reference)
+
+
+def test_moving_iterate_whose_pg_underflows_matches_reference_bitwise():
+    # step is about 1.8e307, so a step d of a few ulps of the weights gives
+    # |d| / step < 2^-1075: a pg of exactly 0, which stops at tol = 0 while
+    # the iterate still moves. pg read 1.5e-323 and 1e-323 at the last two
+    # block ends, so the stop's block is screened, with a threshold above 0
+    rng = np.random.default_rng(439)
+    G = np.ldexp(rng.normal(size=(4, 11)) + rng.normal() * 3, -513)
+    pgs = []
+    reference = _reference_structured_ls(G, None, None, 2000, 0.0, pgs=pgs)
+    before = _reference_structured_ls(G, None, None, reference.iterations - 1, -1.0)
+    assert reference.iterations == 435 and pgs[-1] == 0.0 and not np.array_equal(before.lam, reference.lam)
+    assert pgs[299] == 1.5e-323 and pgs[399] == 1e-323
+    result = solve_structured_ls(G, iter_cap=2000, tol=0.0)
+    _assert_bitwise_equal(result, reference)
+
+
+@pytest.mark.parametrize("at", [None, 1375, 1400])
+def test_screened_block_past_a_sudden_stop_matches_reference_bitwise(at):
+    # pg creeps from 2.7e-2 to 8.6e-3 over 1 366 iterations, then falls below
+    # 1e-4 within five and keeps falling: the trend predicts no stop, so the
+    # block 1300-1400 is screened. tol is 1e-10 (a stop at 1387) or the
+    # reference's pg at `at`, a stop inside the block or on its last
+    # iteration, after its objective guard; the iterations the block ran
+    # past the stop are dropped
+    rng = np.random.default_rng(49)
+    G, J1 = rng.normal(size=(2, 6)), rng.normal(size=(1, 2))
+    pgs = []
+    _reference_structured_ls(G, J1, None, 1400, -1.0, pgs=pgs)
+    assert pgs[1199] / pgs[1299] < 1.1 and pgs[1365] > 8e-3 and pgs[1370] < 1e-4
+    tol = 1e-10 if at is None else pgs[at - 1]
+    reference = _reference_structured_ls(G, J1, None, 5000, tol)
+    assert reference.iterations == (1387 if at is None else at) and reference.converged
+    result = solve_structured_ls(G, J1=J1, iter_cap=5000, tol=tol)
+    _assert_bitwise_equal(result, reference)
 
 
 # --- dual lower bound and the early stop it allows ---------------------------
