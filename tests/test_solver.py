@@ -548,7 +548,8 @@ def test_steps_with_subnormal_squares_match_reference_bitwise(tol):
     G, J1, J2a = rng.normal(size=(2, 4)) * 1e-63, rng.normal(size=(2, 2)) * 1e76, rng.normal(size=(1, 2)) * 1e76
     pgs = []
     reference = _reference_structured_ls(G, J1, J2a, 3000, tol, pgs=pgs)
-    step = spectral_upper_step(2.0 * (np.hstack([G, J1.T, J2a.T]).T @ np.hstack([G, J1.T, J2a.T])))
+    A = np.hstack([G, J1.T, J2a.T])
+    step = spectral_upper_step(2.0 * (A.T @ A))
     assert sum(0.0 < pg * step < 1.5e-154 for pg in pgs) > 50
     assert reference.converged and pgs[-1] == 0.0 and pgs[-2] > 1e-3
     result = solve_structured_ls(G, J1=J1, J2_active=J2a, iter_cap=3000, tol=tol)
