@@ -3,12 +3,9 @@
 Every randomized operation derives its draws from numpy SeedSequence
 substreams keyed by (seed, namespace, index...).  Two calls with the same
 seed and path produce bitwise-identical samples, independently of any
-other sampling performed in the process, which makes per-sample streams
-safe to evaluate concurrently.
+other sampling performed in the process.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,18 +22,6 @@ def substream(seed, *path) -> np.random.Generator:
     """Generator for the substream (seed, *path)."""
     key = tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
-
-
-def ball_point(rng, center, radius):
-    """One point drawn uniformly from the Euclidean ball around center."""
-    center = np.asarray(center, dtype=float)
-    n = center.size
-    g = rng.standard_normal(n)
-    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's bits on a 1-D float array
-    if nrm == 0.0:
-        return center.copy()
-    rad = radius * rng.random() ** (1.0 / n)
-    return center + (rad / nrm) * g
 
 
 def ball_points(rng, center, radius, count):

@@ -43,8 +43,11 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
                            seed=GenDirConfig.seed) -> SubdifferentialApprox:
     """Gradients at k random points in the ball around u (u itself always included).
 
-    All points go through one evaluate_with_gradient call; a sampled point
-    that lies exactly on a kink takes the gradient its tie rules pick.
+    The k - 1 ball points come from one stream, (seed, NS_SUBDIFF), drawn
+    together, so a different k redraws every point rather than adding
+    points.  All points go through one evaluate_with_gradient call; a
+    sampled point that lies exactly on a kink takes the gradient its tie
+    rules pick.
     """
     u = as_point(u, prob.n)
     radius = default_radius(u) if radius is None else radius
@@ -53,9 +56,8 @@ def sample_subdifferential(prob: ProblemDefinition, u, radius=None, k=None,
     k = 30 + 2 * prob.n if k is None else k
     if k < 1:
         raise ValueError("need at least one sample")
-    points = [u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)
-                    for i in range(1, k)]
-    _, gradients = evaluate_with_gradient(prob.objective, np.array(points))
+    ball = sampling.ball_points(sampling.substream(seed, sampling.NS_SUBDIFF), u, radius, k - 1)
+    _, gradients = evaluate_with_gradient(prob.objective, np.vstack([u, ball]))
     if not np.all(np.isfinite(gradients)):
         raise EstimationFailureError("non-finite sampled gradient")
     return SubdifferentialApprox(points=gradients)

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from clarke_kkt import sampling
+from clarke_kkt import sampling, subdiff
 from clarke_kkt.errors import EvaluationDomainError
 from clarke_kkt.expressions import evaluate_with_gradient
 from clarke_kkt.gendir import GenDirConfig
@@ -95,26 +95,26 @@ def _sum_abs(n, last_plain=False):
 
 
 @pytest.mark.parametrize("prob, digest", [
-    (_sum_abs(20), "05c91f5d5ded142ba05cb2d09e8f98f4d51a505b3646fdeece4c2ea710d43ba3"),
-    (_sum_abs(50, last_plain=True), "96d5683f999c2dccd1563a1f39c90329c254ea3ea0ee487ddc7ee7edfdfb87e6"),
-])
+    (_sum_abs(20), "45959d84b39af3ee9a1698d1a24e4a1d429cd42694f1382ae72d22c1ca15e839"),
+    (_sum_abs(50, last_plain=True), "4dc7f6256a82bca567958919a1aa72adf143fc25b0a77b9dad60a8c4b197e5a5"),
+], ids=["sum_abs20", "sum_abs50_last_plain"])
 def test_sampled_gradients_are_pinned(prob, digest):
     sd = sample_subdifferential(prob, np.zeros(prob.n), seed=42)
     assert set(np.unique(sd.points)) <= {-1.0, 1.0}  # sign vectors: gradients of pieces
     assert hashlib.sha256(sd.points.tobytes()).hexdigest() == digest
 
 
-def _sampled_points(n, radius, seed=42):
+def _sampled_points(n, radius, k, seed=42):
     u = np.zeros(n)
-    return np.array([u] + [sampling.ball_point(sampling.substream(seed, sampling.NS_SUBDIFF, i), u, radius)
-                           for i in range(1, 30 + 2 * n)])
+    ball = sampling.ball_points(sampling.substream(seed, sampling.NS_SUBDIFF), u, radius, k - 1)
+    return np.vstack([u, ball])
 
 
 @pytest.mark.parametrize("n", [5, 50])
 def test_batch_rows_follow_the_one_point_rule(n):
     # each row of the batched walk is bitwise what its point alone gives
     prob = _sum_abs(n, last_plain=True)
-    points = _sampled_points(n, 1e-3)
+    points = _sampled_points(n, 1e-3, 30 + 2 * n)
     values, gradients = evaluate_with_gradient(prob.objective, points)
     assert gradients.tobytes() == sample_subdifferential(prob, np.zeros(n), seed=42).points.tobytes()
     for i, point in enumerate(points):
@@ -127,14 +127,44 @@ def test_batch_rows_follow_the_one_point_rule(n):
     np.testing.assert_array_equal(gradients[:, -1], 1.0)
 
 
+def test_one_call_draws_its_ball_points_from_one_stream(monkeypatch):
+    # one seeded generator per call, not one per point: the stream (seed, NS_SUBDIFF)
+    opened, walked = [], []
+    substream, evaluate = sampling.substream, subdiff.evaluate_with_gradient
+
+    def recording_substream(seed, *path):
+        opened.append((seed, *path))
+        return substream(seed, *path)
+
+    def recording_evaluate(expr, points):
+        walked.append(points.copy())
+        return evaluate(expr, points)
+
+    monkeypatch.setattr(sampling, "substream", recording_substream)
+    monkeypatch.setattr(subdiff, "evaluate_with_gradient", recording_evaluate)
+    prob = _sum_abs(5, last_plain=True)
+    u = np.array([0.5, -1.0, 0.0, 2.0, -0.25])
+    radius = 1e-2
+    first = sample_subdifferential(prob, u, radius=radius, k=40, seed=7)
+    assert opened == [(7, sampling.NS_SUBDIFF)]
+    (points,) = walked
+    assert points.shape == (40, 5)
+    assert points[0].tobytes() == u.tobytes()
+    distances = np.linalg.norm(points[1:] - u, axis=1)
+    assert np.all(distances <= radius * (1.0 + 1e-12))  # the closed ball, up to rounding
+    again = sample_subdifferential(prob, u, radius=radius, k=40, seed=7)
+    assert opened == [(7, sampling.NS_SUBDIFF)] * 2
+    assert again.points.tobytes() == first.points.tobytes()
+
+
 def test_division_by_zero_raises_in_either_phase():
     # a pole at any sampled point raises: at u itself ...
     prob = parse_problem("dim 2\nobjective 1 / x1 + abs(x2)")
     with pytest.raises(EvaluationDomainError, match="division by zero during evaluation"):
         sample_subdifferential(prob, [0.0, 0.0], seed=42)
-    # ... or at the first point drawn in the ball, and not at u
+    # ... or at the one point that the k = 2 draw puts in the ball, and not at u
     radius = 1e-3
-    pole = float(_sampled_points(2, radius)[1, 0])
+    pole = float(_sampled_points(2, radius, 2)[1, 0])
     prob = parse_problem(f"dim 2\nobjective abs(x2) + 1 / (x1 - {pole!r})")
     sample_subdifferential(prob, [0.0, 0.0], radius=radius, k=1, seed=42)
     with pytest.raises(EvaluationDomainError, match="division by zero during evaluation"):
